@@ -23,7 +23,8 @@ int main() {
   inst.capacity = 1.0;
   auto ffn = vbp::build_ff_network(inst);
   cases::VbpGapEvaluator eval(inst);
-  auto oracle = cases::make_ff_oracle(ffn, inst);
+  auto oracle =
+      cases::make_vbp_oracle(ffn, inst, vbp::VbpHeuristic::kFirstFit);
 
   // The contiguous subspace around the paper's {1%,49%,51%,51%} instance.
   subspace::Polytope region;

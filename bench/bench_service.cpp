@@ -12,11 +12,11 @@
 //
 //   * cache_hits / cache_misses / cache_entries — (rounds-1) x jobs hits,
 //     jobs misses: the cache serves every repeat from memory;
-//   * case_builds — the service and the hoisted Engine::run both construct
-//     each unique (case, scenario.cache_key()) instance ONCE, not once per
-//     job: a replication grid with R replicas per scenario builds
-//     jobs/R instances (engine_case_builds measures the Engine-side
-//     hoisting this PR added).
+//   * case_builds — the service and Engine::run both construct each
+//     unique (case, scenario.cache_key()) instance ONCE, not once per job
+//     (the case memo they share, engine/grid_job.h): a replication grid
+//     with R replicas per scenario builds jobs/R instances
+//     (engine_case_builds measures the Engine side).
 //
 // Two hardening phases extend the acceptance gate:
 //
@@ -95,8 +95,8 @@ int main() {
       static_cast<int>(spec.cases.size()) * 3;  // 3 distinct line sizes
 
   // --- 1. Cold path: one fresh Engine::run per submission, kRounds
-  // times.  Within each run the hoisting added for replication grids
-  // still builds each unique instance once (engine_case_builds). ---
+  // times.  Within each run the case memo still builds each unique
+  // instance once (engine_case_builds). ---
   util::Timer cold_timer;
   int engine_case_builds = 0;
   for (int round = 0; round < kRounds; ++round) {
@@ -114,7 +114,7 @@ int main() {
             << kRounds * jobs_per_round << " jobs in " << cold_seconds
             << "s (" << cold_jps << " jobs/s); " << engine_case_builds
             << " case builds per round for " << jobs_per_round
-            << " jobs (replication hoisting)\n";
+            << " jobs (case memo)\n";
 
   // --- 2. Resident path: one Service, the identical spec submitted
   // kRounds times.  Round 1 computes and fills the cache; rounds 2..k are

@@ -64,11 +64,6 @@ explain::FlowOracle make_vbp_oracle(const vbp::FfNetwork& ff,
   };
 }
 
-explain::FlowOracle make_ff_oracle(const vbp::FfNetwork& ff,
-                                   const vbp::VbpInstance& inst) {
-  return make_vbp_oracle(ff, inst, vbp::VbpHeuristic::kFirstFit);
-}
-
 VbpCase::VbpCase(vbp::VbpInstance inst, vbp::VbpHeuristic h, double quantum)
     : inst_(std::move(inst)), h_(h), quantum_(quantum),
       ffnet_(vbp::build_ff_network(inst_)) {}

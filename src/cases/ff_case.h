@@ -54,10 +54,6 @@ explain::FlowOracle make_vbp_oracle(const vbp::FfNetwork& ff,
                                     const vbp::VbpInstance& inst,
                                     vbp::VbpHeuristic h);
 
-/// Deprecated spelling: First-Fit oracle (pre-cases API).
-explain::FlowOracle make_ff_oracle(const vbp::FfNetwork& ff,
-                                   const vbp::VbpInstance& inst);
-
 /// Any VBP greedy rule vs optimal on one instance (requires dims == 1 for
 /// the Type-2 network; the gap path supports arbitrary dims).
 class VbpCase : public HeuristicCase {

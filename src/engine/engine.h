@@ -14,6 +14,10 @@
 //     a pure function of (spec, job index), results land in slot-indexed
 //     storage, so the output is bitwise identical for ANY worker count /
 //     XPLAIN_WORKERS setting;
+//   * every job runs through the job path server::Service shares
+//     (engine/grid_job.h): each unique (case, scenario) instance is built
+//     once and dropped after its last job, and a job whose build or
+//     pipeline throws fails alone instead of aborting the grid;
 //   * each finished job streams through an optional callback (serialized
 //     under a mutex; completion ORDER depends on scheduling, job CONTENT
 //     does not);
@@ -109,8 +113,9 @@ struct ExperimentJob {
 
 struct JobResult {
   ExperimentJob job;
-  /// False when the case is unknown or cannot build from the scenario
-  /// (default-only registration); `error` says which.
+  /// False when the case is unknown, cannot build from the scenario
+  /// (default-only registration), or its build or pipeline threw
+  /// ("job threw: ..."); `error` says which.
   bool ok = false;
   std::string error;
   PipelineResult pipeline;
@@ -201,7 +206,8 @@ struct ExperimentResult {
   StageTimes stages;
   double wall_seconds = 0.0;
   /// Scenario-parameterized case constructions this run performed: one per
-  /// UNIQUE (case, scenario.cache_key()) pair, not per job — a 10-seed
+  /// UNIQUE (case, scenario.cache_key()) pair, not per job (a build that
+  /// throws is retried by the cell's next job and counted again) — a 10-seed
   /// replication grid builds each instance once (bench_service measures
   /// this).  Not serialized: it is an execution statistic, not a result.
   int case_builds = 0;
@@ -233,10 +239,10 @@ class Engine {
   CaseRegistry* registry_;
 };
 
-/// The per-job options derivation Engine::run uses, exposed so other
-/// drivers (the xplain::Service worker pool) reproduce a grid job bit for
-/// bit: a pure function of (spec, index).  `seed_out`, when non-null,
-/// receives the salt the streams derived from (== JobResult::seed).
+/// The per-job options derivation every grid job runs with (make_grid_job
+/// in engine/grid_job.h): a pure function of (spec, index).  `seed_out`,
+/// when non-null, receives the salt the streams derived from
+/// (== JobResult::seed).
 PipelineOptions derived_job_options(const ExperimentSpec& spec, int index,
                                     std::uint64_t* seed_out = nullptr);
 

@@ -4,7 +4,7 @@
 // it without pulling in the te/ and lb/ generator machinery.  This header
 // is deliberately dependency-free: a spec is a POD plus a label — the
 // single sanctioned scenario/ include for src/xplain (tools/
-// xplain_lint.py pins that, the same way compat.h is pinned).
+// xplain_lint.py pins that).
 //
 // Generation stays a pure function of the spec (see scenario.h): the same
 // spec — including its seed — produces the identical topology and instance

@@ -10,25 +10,6 @@ namespace xplain::server {
 
 namespace {
 
-/// Runs `f` on scope exit unless disarmed — the unwind arm of the RAII
-/// claim guards (release a claimed-but-unpublished entry so waiters can
-/// inherit instead of blocking forever).
-template <class F>
-class ScopeFail {
- public:
-  explicit ScopeFail(F f) : f_(std::move(f)) {}
-  ~ScopeFail() {
-    if (armed_) f_();
-  }
-  ScopeFail(const ScopeFail&) = delete;
-  ScopeFail& operator=(const ScopeFail&) = delete;
-  void disarm() { armed_ = false; }
-
- private:
-  F f_;
-  bool armed_ = true;
-};
-
 CacheOptions cache_options(const ServiceOptions& o) {
   CacheOptions c;
   c.max_bytes = o.cache_max_bytes;
@@ -40,10 +21,10 @@ CacheOptions cache_options(const ServiceOptions& o) {
 }  // namespace
 
 Service::Service(const ServiceOptions& opts, CaseRegistry& reg)
-    : registry_(&reg),
-      pool_size_(std::max(1, util::resolve_workers(opts.workers))),
+    : pool_size_(std::max(1, util::resolve_workers(opts.workers))),
       queue_(opts.queue_capacity),
-      cache_(cache_options(opts)) {
+      cache_(cache_options(opts)),
+      cases_(reg) {
   // The pool starts last: by the time a worker can run, every other member
   // is constructed.
   pool_ = std::make_unique<WorkerPool>(
@@ -58,7 +39,7 @@ Service::~Service() { shutdown(); }
 std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
   auto sub = std::make_shared<Submission>();
   sub->spec = spec;
-  sub->jobs = Engine(*registry_).expand(spec);
+  sub->jobs = Engine(cases_.registry()).expand(spec);
   sub->on_job = std::move(on_job);
   const int n = static_cast<int>(sub->jobs.size());
   {
@@ -121,21 +102,9 @@ ExperimentSummary Service::wait(std::uint64_t id) {
     out.lp_candidate_refills += j.lp_candidate_refills;
   }
   if (sub->spec.run_generalizer) {
-    // The same slim reconstruction Engine::run feeds generalize_batch —
-    // the summaries carry everything the generalizer reads (features, best
-    // gap, gap scale), so service trends match Engine trends bit for bit.
-    std::vector<PipelineResult> slim;
-    slim.reserve(out.jobs.size());
-    for (const JobSummary& j : out.jobs) {
-      if (!j.ok) continue;
-      PipelineResult r;
-      r.features = j.features;
-      r.gap_scale = j.gap_scale;
-      r.best_gap_found = std::max(j.max_seed_gap, j.best_gap_found);
-      slim.push_back(std::move(r));
-    }
-    generalize::GeneralizerResult g = generalize::generalize_batch(
-        slim, sub->spec.grammar, sub->spec.normalize_gap);
+    // The same trend mining Engine::run does, from the same summaries.
+    const generalize::GeneralizerResult g =
+        generalize_jobs(out.jobs, sub->spec);
     out.trends = make_trend_summaries(g);
     out.observations = static_cast<int>(g.observations.size());
   }
@@ -179,10 +148,7 @@ ServiceStats Service::stats() const {
     s.jobs_failed = jobs_failed_;
     s.duplicate_deliveries = duplicate_deliveries_;
   }
-  {
-    util::MutexLock lock(&case_mu_);
-    s.case_builds = case_builds_;
-  }
+  s.case_builds = cases_.builds();
   const ResultCache::Stats cs = cache_.stats();
   s.cache_hits = cs.hits;
   s.cache_misses = cs.misses;
@@ -204,15 +170,13 @@ void Service::run_job(const QueuedJob& q, int worker) {
     if (it == submissions_.end()) return;  // defensive; wait() erases only
     sub = it->second;                      // after the last delivery
   }
-  const ExperimentJob& job = sub->jobs[q.index];
   // The identical pure derivation Engine::run uses: content depends on
   // (spec, index) only, never on worker or batch placement.
-  std::uint64_t seed = 0;
-  PipelineOptions o = derived_job_options(sub->spec, q.index, &seed);
-  const std::string fp = o.fingerprint();
-  const std::string scen_key =
-      job.scenario ? job.scenario->cache_key() : std::string();
-  const std::string key = ResultCache::key(job.case_name, scen_key, fp, seed);
+  GridJob g = make_grid_job(sub->spec, sub->jobs[q.index]);
+  const ExperimentJob& job = g.result.job;
+  const std::string key = ResultCache::key(
+      job.case_name, job.scenario ? job.scenario->cache_key() : std::string(),
+      g.result.options_fingerprint, g.result.seed);
 
   JobSummary s;
   const ResultCache::Outcome lookup = cache_.lookup_or_claim(key, &s);
@@ -223,50 +187,23 @@ void Service::run_job(const QueuedJob& q, int worker) {
     deliver(*sub, q.index, s, /*from_cache=*/true);
     return;
   }
-  JobResult jr;
-  jr.job = job;
-  jr.seed = seed;
-  jr.options_fingerprint = fp;
   if (lookup == ResultCache::Outcome::kFastFail) {
     // Poisoned-key back-off: the same key keeps getting abandoned and one
     // prober is already retrying it — fail this submission immediately
     // instead of joining a convoy behind a job that keeps dying.
-    jr.error =
+    g.result.error =
         "job fast-failed: this key was repeatedly abandoned and is being "
         "re-probed (resubmit later)";
-    deliver(*sub, q.index, make_job_summary(jr), /*from_cache=*/false);
+    deliver(*sub, q.index, make_job_summary(g.result), /*from_cache=*/false);
     return;
   }
   // kClaimed: from here until the claim is resolved, ANY unwind — a
-  // throwing case build, pipeline, or summary serialization — must
-  // abandon, or every future claimant of the key blocks forever.
+  // throwing summary serialization included — must abandon, or every
+  // future claimant of the key blocks forever.
   ClaimGuard claim(&cache_, key);
-  try {
-    const std::shared_ptr<const HeuristicCase> c =
-        job.scenario ? scenario_case(job.case_name, *job.scenario, scen_key)
-                     : registry_->find(job.case_name);
-    if (!c) {
-      jr.error = registry_->contains(job.case_name)
-                     ? "case cannot build from a scenario "
-                       "(default-only registration)"
-                     : "unknown case";
-    } else {
-      // The pool already fans out across jobs; an "auto" explain pool
-      // inside every concurrent pipeline would oversubscribe the machine
-      // pool-size-fold.  An explicit positive count is respected.
-      if (pool_size_ > 1 && o.explain.workers <= 0) o.explain.workers = 1;
-      jr.pipeline = run_pipeline(*c, o);
-      jr.ok = true;
-    }
-  } catch (const std::exception& e) {
-    jr.ok = false;
-    jr.error = std::string("job threw: ") + e.what();
-  } catch (...) {
-    jr.ok = false;
-    jr.error = "job threw a non-standard exception";
-  }
-  s = make_job_summary(jr);
-  if (jr.ok) {
+  s = make_job_summary(
+      run_grid_job(std::move(g), cases_, /*concurrent=*/pool_size_ > 1));
+  if (s.ok) {
     claim.fulfill(s);
   } else {
     claim.abandon();  // failures are not cached
@@ -306,48 +243,6 @@ void Service::deliver(Submission& sub, int index, const JobSummary& s,
   // Wake the waiter last, so a wait() that returns sees the service
   // counters already covering this delivery.
   if (done) sub.done_cv.notify_all();
-}
-
-std::shared_ptr<const HeuristicCase> Service::scenario_case(
-    const std::string& name, const scenario::ScenarioSpec& scen,
-    const std::string& scen_key) {
-  const std::pair<std::string, std::string> k(name, scen_key);
-  case_mu_.lock();
-  for (;;) {
-    auto it = cases_.find(k);
-    if (it == cases_.end()) {
-      // Claim and build outside the lock (builds can be expensive and
-      // other workers may need DIFFERENT cases meanwhile).
-      cases_.emplace(k, CaseEntry{});
-      ++case_builds_;
-      case_mu_.unlock();
-      // A factory that throws must not strand the claim: on unwind, erase
-      // the in-flight entry and wake the waiters — the first re-finds
-      // nothing, inherits the claim, and retries the build (its own job
-      // fails with the same error if the factory keeps throwing).
-      ScopeFail claim([&] {
-        case_mu_.lock();
-        cases_.erase(k);
-        case_mu_.unlock();
-        case_ready_cv_.notify_all();
-      });
-      std::shared_ptr<const HeuristicCase> c = registry_->create(name, scen);
-      claim.disarm();
-      case_mu_.lock();
-      CaseEntry& e = cases_[k];
-      e.ready = true;
-      e.c = c;  // nullptr is cached too: unknown stays unknown
-      case_mu_.unlock();
-      case_ready_cv_.notify_all();
-      return c;
-    }
-    if (it->second.ready) {
-      std::shared_ptr<const HeuristicCase> c = it->second.c;
-      case_mu_.unlock();
-      return c;
-    }
-    case_ready_cv_.wait(case_mu_);
-  }
 }
 
 }  // namespace xplain::server

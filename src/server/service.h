@@ -1,14 +1,14 @@
 // xplain::server::Service — the resident explanation service's front door.
 //
 // The paper's pipeline explains one study per process; the ROADMAP
-// north-star serves a query STREAM.  Service keeps an Engine-shaped job
-// path resident: submit() expands an ExperimentSpec grid into jobs (the
-// same Engine::expand order), enqueues them on the bounded JobQueue, and a
-// persistent WorkerPool runs each job through run_pipeline with options
-// from derived_job_options — so every job's content is the same pure
-// function of (spec, index) that Engine::run computes, bitwise identical
-// for any pool size and unaffected by concurrent unrelated jobs (the
-// thread-inclusive solver::lp_counters keep each job's LP tallies exact).
+// north-star serves a query STREAM.  Service keeps Engine's job path
+// resident: submit() expands an ExperimentSpec grid into jobs (the same
+// Engine::expand order), enqueues them on the bounded JobQueue, and a
+// persistent WorkerPool runs each through run_grid_job (engine/grid_job.h),
+// the very path Engine::run takes — so every job's content is the same
+// pure function of (spec, index), bitwise identical for any pool size and
+// unaffected by concurrent unrelated jobs (the thread-inclusive
+// solver::lp_counters keep each job's LP tallies exact).
 //
 // Results dedup through the content-addressed ResultCache: a job whose
 // (case, scenario.cache_key(), options fingerprint, seed) was already
@@ -30,10 +30,11 @@
 // joins the pool.  The destructor shuts down.  Submissions after drain are
 // rejected (submit returns kRejected).
 //
-// Hardening: every cache claim is held in a RAII ClaimGuard and the whole
-// job path runs under a catch-all, so an exception anywhere (case build,
-// pipeline, serialization) abandons the claim, fails the job loudly, and
-// still delivers — no claimant ever blocks forever on a stranded key.
+// Hardening: the shared job path turns a throwing case build or pipeline
+// into a failed job that is still delivered, and every cache claim is held
+// in a RAII ClaimGuard, so any unwind on the job path (serialization
+// included) abandons the claim — no claimant ever blocks forever on a
+// stranded key.
 // ServiceOptions::cache_max_bytes bounds resident cache memory (LRU by
 // bytes) and cache_path persists it across restarts; see
 // server/result_cache.h for the policy details.
@@ -49,6 +50,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/grid_job.h"
 #include "server/job_queue.h"
 #include "server/result_cache.h"
 #include "server/worker_pool.h"
@@ -171,17 +173,13 @@ class Service {
   void run_job(const QueuedJob& q, int worker);
   void deliver(Submission& sub, int index, const JobSummary& s,
                bool from_cache) XPLAIN_EXCLUDES(mu_);
-  /// The service's resident case memo: one build per unique
-  /// (case, scenario.cache_key()), with in-flight dedup like the result
-  /// cache.  Never evicted (ROADMAP follow-on).
-  std::shared_ptr<const HeuristicCase> scenario_case(
-      const std::string& name, const scenario::ScenarioSpec& scen,
-      const std::string& scen_key) XPLAIN_EXCLUDES(case_mu_);
 
-  CaseRegistry* registry_;
   const int pool_size_;
   JobQueue queue_;
   ResultCache cache_;
+  /// Unplanned, hence resident: each (case, scenario) instance is built
+  /// once per service lifetime and never evicted.
+  CaseMemo cases_;
   std::unique_ptr<WorkerPool> pool_;  // constructed last, joined first
 
   mutable util::Mutex mu_;
@@ -196,16 +194,6 @@ class Service {
   long jobs_completed_ XPLAIN_GUARDED_BY(mu_) = 0;
   long jobs_failed_ XPLAIN_GUARDED_BY(mu_) = 0;
   long duplicate_deliveries_ XPLAIN_GUARDED_BY(mu_) = 0;
-
-  struct CaseEntry {
-    bool ready = false;
-    std::shared_ptr<const HeuristicCase> c;
-  };
-  mutable util::Mutex case_mu_;
-  std::condition_variable_any case_ready_cv_;
-  std::map<std::pair<std::string, std::string>, CaseEntry> cases_
-      XPLAIN_GUARDED_BY(case_mu_);
-  long case_builds_ XPLAIN_GUARDED_BY(case_mu_) = 0;
 };
 
 }  // namespace xplain::server

@@ -76,8 +76,6 @@ bool LuFactorization::factorize(int m, const std::vector<int>& cp,
                                 const std::vector<int>& ci,
                                 const std::vector<double>& cx,
                                 const std::vector<int>& basis_cols) {
-  if (cfg_dense_) return factorize_dense(m, cp, ci, cx, basis_cols);
-
   // Build into the b*-scratch so a singular basis leaves the active
   // factorization (and its update file) untouched.
   // Markowitz-style column preorder: sparsest basis columns pivot first.
@@ -245,66 +243,7 @@ bool LuFactorization::factorize(int m, const std::vector<int>& cp,
   update_count_ = 0;
   update_nnz_ = 0;
   fnnz_ = static_cast<long>(li_.size() + ui_.size()) + m;
-  dense_active_ = false;
   ft_active_ = cfg_ft_;
-  return true;
-}
-
-bool LuFactorization::factorize_dense(int m, const std::vector<int>& cp,
-                                      const std::vector<int>& ci,
-                                      const std::vector<double>& cx,
-                                      const std::vector<int>& basis_cols) {
-  // Column-major dense build; columns stay in natural slot order (no
-  // sparsity ordering at these sizes), so slot == step throughout.
-  bdmat_.assign(static_cast<std::size_t>(m) * m, 0.0);
-  for (int k = 0; k < m; ++k) {
-    const int j = basis_cols[k];
-    for (int t = cp[j]; t < cp[j + 1]; ++t)
-      bdmat_[static_cast<std::size_t>(k) * m + ci[t]] += cx[t];
-  }
-  // LAPACK-style in-place LU with partial pivoting (row swaps recorded as
-  // an ipiv sequence); L's unit diagonal is implicit.
-  bdipiv_.resize(m);
-  for (int k = 0; k < m; ++k) {
-    double* kcol = bdmat_.data() + static_cast<std::size_t>(k) * m;
-    int piv = k;
-    double best = std::abs(kcol[k]);
-    for (int r = k + 1; r < m; ++r) {
-      const double a = std::abs(kcol[r]);
-      if (a > best) {
-        best = a;
-        piv = r;
-      }
-    }
-    if (best <= kSingularTol) return false;  // previous factors untouched
-    bdipiv_[k] = piv;
-    if (piv != k)
-      for (int c = 0; c < m; ++c)
-        std::swap(bdmat_[static_cast<std::size_t>(c) * m + k],
-                  bdmat_[static_cast<std::size_t>(c) * m + piv]);
-    const double d = kcol[k];
-    for (int r = k + 1; r < m; ++r) kcol[r] /= d;
-    for (int c = k + 1; c < m; ++c) {
-      double* ccol = bdmat_.data() + static_cast<std::size_t>(c) * m;
-      const double u = ccol[k];
-      if (u == 0.0) continue;
-      for (int r = k + 1; r < m; ++r) ccol[r] -= kcol[r] * u;
-    }
-  }
-  m_ = m;
-  dmat_.swap(bdmat_);
-  dipiv_.swap(bdipiv_);
-  eta_start_.assign(1, 0);
-  eta_slot_.clear();
-  eta_piv_.clear();
-  eta_idx_.clear();
-  eta_val_.clear();
-  update_count_ = 0;
-  update_nnz_ = 0;
-  fnnz_ = static_cast<long>(m) * m;
-  dense_active_ = true;
-  ft_active_ = false;
-  ftw_valid_ = false;
   return true;
 }
 
@@ -334,10 +273,6 @@ void LuFactorization::apply_etas_btran(std::vector<double>& y) const {
 }
 
 void LuFactorization::ftran(std::vector<double>& x) const {
-  if (dense_active_) {
-    ftran_dense(x);
-    return;
-  }
   // L-pass (forward, unit diagonal): y_k = (L^-1 P b)_k in step space.
   step_.resize(m_);
   for (int k = 0; k < m_; ++k) {
@@ -436,10 +371,6 @@ void LuFactorization::solve_ut(int nseeds) const {
 }
 
 void LuFactorization::btran(std::vector<double>& y) const {
-  if (dense_active_) {
-    btran_dense(y);
-    return;
-  }
   apply_etas_btran(y);  // no-op in Forrest-Tomlin mode
   // Gather to step space, counting the rhs pattern for the U^T path choice.
   step_.resize(m_);
@@ -468,56 +399,8 @@ void LuFactorization::btran(std::vector<double>& y) const {
   for (int k = 0; k < m_; ++k) y[pivrow_[k]] = step_[k];
 }
 
-void LuFactorization::ftran_dense(std::vector<double>& x) const {
-  step_.resize(m_);
-  for (int k = 0; k < m_; ++k) step_[k] = x[k];
-  for (int k = 0; k < m_; ++k) std::swap(step_[k], step_[dipiv_[k]]);
-  // L forward (unit diagonal, multipliers below the diagonal).
-  for (int k = 0; k < m_; ++k) {
-    const double v = step_[k];
-    if (v == 0.0) continue;
-    const double* col = dmat_.data() + static_cast<std::size_t>(k) * m_;
-    for (int r = k + 1; r < m_; ++r) step_[r] -= col[r] * v;
-  }
-  // U backward.
-  for (int k = m_ - 1; k >= 0; --k) {
-    const double* col = dmat_.data() + static_cast<std::size_t>(k) * m_;
-    const double v = step_[k] / col[k];
-    step_[k] = v;
-    if (v == 0.0) continue;
-    for (int r = 0; r < k; ++r) step_[r] -= col[r] * v;
-  }
-  // Dense columns are in natural slot order: step == slot.
-  for (int k = 0; k < m_; ++k) x[k] = step_[k];
-  apply_etas_ftran(x);
-}
-
-void LuFactorization::btran_dense(std::vector<double>& y) const {
-  apply_etas_btran(y);
-  step_.resize(m_);
-  for (int k = 0; k < m_; ++k) step_[k] = y[k];
-  // U^T forward: row k of U^T is column k of the packed factor above the
-  // diagonal — a contiguous column-major gather.
-  for (int k = 0; k < m_; ++k) {
-    const double* col = dmat_.data() + static_cast<std::size_t>(k) * m_;
-    double acc = step_[k];
-    for (int r = 0; r < k; ++r) acc -= col[r] * step_[r];
-    step_[k] = acc / col[k];
-  }
-  // L^T backward.
-  for (int k = m_ - 1; k >= 0; --k) {
-    const double* col = dmat_.data() + static_cast<std::size_t>(k) * m_;
-    double acc = step_[k];
-    for (int r = k + 1; r < m_; ++r) acc -= col[r] * step_[r];
-    step_[k] = acc;
-  }
-  // Undo the pivoting row swaps in reverse order: y = P^T w.
-  for (int k = m_ - 1; k >= 0; --k) std::swap(step_[k], step_[dipiv_[k]]);
-  for (int k = 0; k < m_; ++k) y[k] = step_[k];
-}
-
 bool LuFactorization::update(int leave_slot, const std::vector<double>& alpha) {
-  if (dense_active_ || !ft_active_) {
+  if (!ft_active_) {
     push_eta(leave_slot, alpha);
     return true;
   }

@@ -1,37 +1,29 @@
-// Simplex basis factorization: sparse LU with Forrest-Tomlin updates, a
-// dense fallback for tiny bases, and hyper-sparse BTRAN.
+// Simplex basis factorization: sparse LU with Forrest-Tomlin updates and
+// hyper-sparse BTRAN.
 //
 // This is the basis engine behind the revised simplex.  The basis matrix B
-// (one CSC column per basis slot) is kept in one of two representations:
+// (one CSC column per basis slot) is kept as P B Q = L U with
+// Markowitz-style pivot selection — columns enter in increasing-sparsity
+// order and, within a column, the pivot row minimizes static row degree
+// among candidates within a threshold of the column's numerical maximum
+// (threshold partial pivoting).  The factorization is built left-looking
+// (sparse triangular solve per column with a depth-first reach,
+// CSparse-style).  Pivots apply Forrest-Tomlin updates to U itself: the
+// leaving column is replaced by the entering column's partial FTRAN (the
+// "spike"), moved to the end of a dynamic triangular order, and the broken
+// row is eliminated with row operations recorded in a row-eta file.  Unlike
+// product-form etas, the update file grows with the ROW fill of each update
+// instead of the full spike, so long warm pivot runs (the dp_gap re-solve
+// storms) stay sparse.  An update whose new diagonal is numerically
+// degenerate is REJECTED (update() returns false) and the caller
+// refactorizes.  The U^T pass of BTRAN is hyper-sparse: when the
+// right-hand side has few nonzeros (unit rows in dual ratio tests, phase-2
+// cost rows with few costed basics), a depth-first reach over the row
+// adjacency of U visits only the columns the solution can touch instead of
+// gathering all of U.
 //
-//   * Sparse (the default): P B Q = L U with Markowitz-style pivot
-//     selection — columns enter in increasing-sparsity order and, within a
-//     column, the pivot row minimizes static row degree among candidates
-//     within a threshold of the column's numerical maximum (threshold
-//     partial pivoting).  The factorization is built left-looking (sparse
-//     triangular solve per column with a depth-first reach, CSparse-style).
-//     Pivots apply Forrest-Tomlin updates to U itself: the leaving column
-//     is replaced by the entering column's partial FTRAN (the "spike"),
-//     moved to the end of a dynamic triangular order, and the broken row is
-//     eliminated with row operations recorded in a row-eta file.  Unlike
-//     product-form etas, the update file grows with the ROW fill of each
-//     update instead of the full spike, so long warm pivot runs (the
-//     dp_gap re-solve storms) stay sparse.  An update whose new diagonal is
-//     numerically degenerate is REJECTED (update() returns false) and the
-//     caller refactorizes.  The U^T pass of BTRAN is hyper-sparse: when the
-//     right-hand side has few nonzeros (unit rows in dual ratio tests,
-//     phase-2 cost rows with few costed basics), a depth-first reach over
-//     the row adjacency of U visits only the columns the solution can
-//     touch instead of gathering all of U.
-//
-//   * Dense (m <= dense threshold, chosen by configure()): a dense LU with
-//     partial pivoting and product-form eta updates.  The sampling loops
-//     solve millions of LPs with a handful of rows each; for those the
-//     sparse machinery's index juggling costs more than O(m^2) flops on a
-//     contiguous matrix.
-//
-// The product-form eta path is also kept for the sparse representation
-// (configure(..., forrest_tomlin=false)) as a differential baseline.
+// The product-form eta update path (configure(false)) is kept as a
+// differential baseline: bench_lb_wcmp's k16 gate measures FT against it.
 //
 // Index spaces (shared with RevisedSimplex):
 //   * "row"  = constraint row of the LpProblem, 0..m-1;
@@ -45,8 +37,7 @@
 //     per factorization (updates reorder steps, they never renumber them).
 //
 // Everything is deterministic — no randomization, no parallelism, and the
-// hyper-sparse/dense-path switch depends only on deterministic nonzero
-// counts — so solver results stay pure functions of the problem,
+// hyper-sparse switch depends only on deterministic nonzero counts — so solver results stay pure functions of the problem,
 // preserving the repo's bitwise parallel determinism contract.
 #pragma once
 
@@ -56,15 +47,11 @@ namespace xplain::solver {
 
 class LuFactorization {
  public:
-  /// Chooses the representation and update strategy for subsequent
-  /// factorize() calls: `dense` selects the dense tiny-basis path (which
-  /// always uses product-form etas); otherwise `forrest_tomlin` selects FT
-  /// updates over the product-form eta file.  Takes effect at the next
-  /// factorize(); the active representation is never reshaped in place.
-  void configure(bool dense, bool forrest_tomlin) {
-    cfg_dense_ = dense;
-    cfg_ft_ = forrest_tomlin;
-  }
+  /// Chooses the update strategy for subsequent factorize() calls:
+  /// `forrest_tomlin` selects FT updates over the product-form eta file.
+  /// Takes effect at the next factorize(); the active factorization is
+  /// never reshaped in place.
+  void configure(bool forrest_tomlin) { cfg_ft_ = forrest_tomlin; }
 
   /// Factorizes the m x m basis whose slot-k column is CSC column
   /// `basis_cols[k]` of (cp, ci, cx).  Returns false on numerical
@@ -104,25 +91,19 @@ class LuFactorization {
   long factor_nnz() const;
 
  private:
-  bool factorize_dense(int m, const std::vector<int>& cp,
-                       const std::vector<int>& ci,
-                       const std::vector<double>& cx,
-                       const std::vector<int>& basis_cols);
   bool ft_update(int leave_slot, const std::vector<double>& alpha);
   void push_eta(int leave_slot, const std::vector<double>& alpha);
   void apply_etas_ftran(std::vector<double>& x) const;
   void apply_etas_btran(std::vector<double>& y) const;
-  void ftran_dense(std::vector<double>& x) const;
-  void btran_dense(std::vector<double>& y) const;
-  void solve_ut(int nseeds) const;  // U^T pass on step_, dense or DFS reach
+  void solve_ut(int nseeds) const;  // U^T pass on step_, full or DFS reach
   int dfs(int row, int top, const std::vector<int>& lp,
           const std::vector<int>& li);
 
   int m_ = 0;
 
   // Mode requested by configure() / published by the last factorize().
-  bool cfg_dense_ = false, cfg_ft_ = true;
-  bool dense_active_ = false, ft_active_ = false;
+  bool cfg_ft_ = true;
+  bool ft_active_ = false;
 
   // L: unit lower triangular, stored by pivot step; entries are multipliers
   // (the implicit 1.0 pivot entry is not stored) with ORIGINAL row indices
@@ -164,7 +145,7 @@ class LuFactorization {
   mutable std::vector<double> ftw_;
   mutable bool ftw_valid_ = false;
 
-  // Product-form eta file (slot space; dense and non-FT sparse modes), flat
+  // Product-form eta file (slot space; non-FT mode only), flat
   // storage: eta e pivots slot eta_slot_[e] with pivot value eta_piv_[e]
   // and off-pivot entries eta_idx_/eta_val_[eta_start_[e]..eta_start_[e+1]).
   std::vector<int> eta_start_{0};
@@ -176,11 +157,6 @@ class LuFactorization {
   int update_count_ = 0;
   long update_nnz_ = 0;
   long fnnz_ = 0;  // nnz(L) + nnz(U) + m as of the last factorize
-
-  // Dense representation: column-major m x m holding L (unit, below the
-  // diagonal) and U in place, with LAPACK-style row-swap pivoting.
-  std::vector<double> dmat_, bdmat_;
-  std::vector<int> dipiv_, bdipiv_;
 
   // Factorization / solve scratch (kept for capacity reuse; the solver is
   // thread_local in solve_lp, so no sharing).

@@ -84,10 +84,9 @@ enum class VStat : std::uint8_t { kBasic, kAtLower, kAtUpper, kFree };
 ///   A x + I s = b,   lo <= (x, s) <= hi,   minimize c'x,
 /// with one slack per row (Le: s in [0, inf), Ge: s in (-inf, 0],
 /// Eq: s fixed at 0).  Columns are stored sparsely (CSC); the basis is an
-/// LU factorization (solver/lu.h: sparse with Forrest-Tomlin updates, or
-/// dense for tiny bases) refreshed per pivot by update() with periodic
-/// refactorization — and an immediate refactorization whenever an update
-/// is numerically rejected.
+/// sparse LU factorization (solver/lu.h, Forrest-Tomlin updates) refreshed
+/// per pivot by update() with periodic refactorization — and an immediate
+/// refactorization whenever an update is numerically rejected.
 class RevisedSimplex {
  public:
   /// Rebinds the solver to a problem.  Instances are reused (thread_local in
@@ -257,11 +256,8 @@ bool RevisedSimplex::factorize() {
   ++refactor_calls_;
   if (opts_->fail_refactor_at > 0 && refactor_calls_ == opts_->fail_refactor_at)
     return false;  // test-only injected failure (see SimplexOptions)
-  // Representation choice: dense for tiny bases, Forrest-Tomlin vs
-  // product-form updates for sparse ones (see SimplexOptions).
-  lu_.configure(
-      opts_->dense_basis_dim > 0 && m_ <= opts_->dense_basis_dim,
-      opts_->ft_updates);
+  // Forrest-Tomlin vs product-form updates (see SimplexOptions).
+  lu_.configure(opts_->ft_updates);
   // lu_.factorize builds into scratch and publishes on success only, so a
   // singular basis leaves the previous factorization (+ update file)
   // untouched.

@@ -18,11 +18,11 @@
 //
 // Scope note: this is the Gurobi stand-in for the XPlain reproduction.  It
 // is exact; the basis is kept as a sparse LU factorization with
-// Forrest-Tomlin updates and hyper-sparse BTRAN (solver/lu.h; a dense LU
-// handles tiny bases, and a product-form eta mode remains as a baseline),
-// so FTRAN/BTRAN and pivots cost O(nnz) instead of the dense O(m^2) the
-// pre-PR-6 inverse paid — the trade that matters once scenario instances
-// reach fat-tree(16) scale (~8k rows).
+// Forrest-Tomlin updates and hyper-sparse BTRAN (solver/lu.h; a
+// product-form eta mode remains as a baseline) at every size, so
+// FTRAN/BTRAN and pivots cost O(nnz) instead of the O(m^2) of an explicit
+// dense inverse — the trade that matters once scenario instances reach
+// fat-tree(16) scale (~8k rows).
 #pragma once
 
 #include <cstdint>
@@ -78,12 +78,6 @@ struct SimplexOptions {
   /// path on small LPs (the DP MILP sampling loops pivot ~40% more under
   /// unconditional partial pricing).  <= 0 engages the list everywhere.
   int partial_pricing_min_cols = 1024;
-  /// Bases with at most this many rows use a dense LU with partial
-  /// pivoting (plus product-form etas) instead of the sparse machinery —
-  /// the sampling loops solve millions of LPs with a handful of rows,
-  /// where sparse index juggling costs more than contiguous O(m^2) flops.
-  /// <= 0 forces the sparse path everywhere.
-  int dense_basis_dim = 50;
   /// Keep the sparse factorization fresh with Forrest-Tomlin updates
   /// (default); false falls back to the plain product-form eta file —
   /// retained as a differential baseline and for A/B benches.

@@ -130,9 +130,16 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts.  Each level recurses once,
+/// so without a bound a hostile line of "[[[[..." overflows the stack; real
+/// documents (job summaries, specs, the cache journal, the fuzz archive)
+/// nest a handful of levels.
+constexpr int kMaxNestingDepth = 256;
+
 struct Parser {
   const char* p;
   const char* end;
+  int depth = 0;
 
   void skip_ws() {
     while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
@@ -203,6 +210,14 @@ struct Parser {
   }
 
   bool parse_value(Json& out) {
+    if (depth == kMaxNestingDepth) return false;
+    ++depth;
+    const bool ok = parse_any(out);
+    --depth;
+    return ok;
+  }
+
+  bool parse_any(Json& out) {
     skip_ws();
     if (p >= end) return false;
     switch (*p) {
@@ -279,7 +294,7 @@ struct Parser {
 }  // namespace
 
 std::optional<Json> Json::parse(const std::string& text) {
-  Parser parser{text.data(), text.data() + text.size()};
+  Parser parser{text.data(), text.data() + text.size(), 0};
   Json out;
   if (!parser.parse_value(out)) return std::nullopt;
   parser.skip_ws();

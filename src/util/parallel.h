@@ -1,7 +1,7 @@
 // Shared worker-pool helper for the sampling hot loops.
 //
-// The contract every parallel stage in XPlain follows (first proven out by
-// xplain::run_batch): work is split into index-addressed slots, each slot's
+// The contract every parallel stage in XPlain follows (xplain::Engine's
+// grid runs included): work is split into index-addressed slots, each slot's
 // randomness comes from a seed derived purely from (base seed, slot index),
 // and slot results land in slot-indexed storage or are merged with exact
 // (integer / order-independent) arithmetic.  Under that contract the output

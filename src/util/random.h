@@ -46,10 +46,10 @@ class Rng {
   /// Derives the seed for an index-addressed work slot from a base seed.
   /// A slot's stream depends only on (base, index), which is what makes
   /// the parallel sampling loops bitwise deterministic for any worker
-  /// count.  The combiner MIXES rather than offsets: run_batch's
-  /// per-instance salts are themselves golden-ratio offsets of one seed,
-  /// and a purely additive (base, index) scheme would hand (instance i,
-  /// slot s+1) and (instance i+1, slot s) the same stream.
+  /// count.  The combiner MIXES rather than offsets: with a purely
+  /// additive (base, index) scheme, per-instance salts that are themselves
+  /// offsets of one seed would hand (instance i, slot s+1) and
+  /// (instance i+1, slot s) the same stream.
   static std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
     std::uint64_t z = base ^ (0x9E3779B97F4A7C15ull * (index + 1));
     z ^= z >> 30;

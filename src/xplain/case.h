@@ -45,9 +45,9 @@ class HeuristicCase {
   virtual std::unique_ptr<analyzer::GapEvaluator> make_evaluator() const = 0;
 
   /// Analyzer the pipeline uses; defaults to the scalable pattern search.
-  /// `seed_salt` decorrelates stochastic analyzers across batched instances
-  /// (run_batch derives it from the instance index); deterministic
-  /// analyzers may ignore it.
+  /// `seed_salt` decorrelates stochastic analyzers across grid jobs (the
+  /// engine derives it from the job index); deterministic analyzers may
+  /// ignore it.
   virtual std::unique_ptr<analyzer::HeuristicAnalyzer> make_analyzer(
       std::uint64_t seed_salt = 0) const;
 

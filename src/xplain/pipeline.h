@@ -14,13 +14,10 @@
 //
 // Multi-instance sweeps go through xplain::Engine (engine/engine.h): a
 // declarative ExperimentSpec expands into (case, scenario) jobs, runs them
-// deterministically across workers, and feeds Type-3 automatically.  The
-// pre-engine run_batch driver survives as a deprecated shim in
-// xplain/compat.h.
+// deterministically across workers, and feeds Type-3 automatically.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,7 +33,7 @@ struct PipelineOptions {
   subspace::SubspaceOptions subspace;
   explain::ExplainOptions explain;
   /// Passed to HeuristicCase::make_analyzer to decorrelate stochastic
-  /// analyzers; run_batch overwrites it per instance (from the index).
+  /// analyzers; the engine overwrites it per job (derived_job_options).
   std::uint64_t seed_salt = 0;
 
   /// Stable, injective serialization of every knob that can change a
@@ -54,7 +51,7 @@ struct PipelineOptions {
 /// Per-stage wall-clock breakdown of one pipeline run, plus the LP solver
 /// work the run triggered (from solver::lp_counters deltas; the counters
 /// are thread-inclusive, so per-instance attribution is exact even with
-/// several batch/engine workers — see LpCounters in solver/lp.h).
+/// several engine workers — see LpCounters in solver/lp.h).
 struct StageTimes {
   double compile_seconds = 0.0;   // case -> evaluator/analyzer/oracle
   double analyze_seconds = 0.0;   // inside HeuristicAnalyzer::find_adversarial
@@ -98,10 +95,10 @@ struct PipelineResult {
 };
 
 /// Offsets every RNG stream in `opts` by `salt` — the one place that knows
-/// which PipelineOptions fields carry seeds.  Both the deprecated
-/// run_batch driver and the experiment engine derive their per-job options
-/// through this, so a newly added seeded stage decorrelates in both (a
-/// pure function: same (opts, salt) in, same options out).
+/// which PipelineOptions fields carry seeds.  The experiment engine derives
+/// its per-job options through this, so a newly added seeded stage
+/// decorrelates across grid jobs too (a pure function: same (opts, salt)
+/// in, same options out).
 PipelineOptions apply_seed_salt(PipelineOptions opts, std::uint64_t salt);
 
 /// Runs the pipeline on any heuristic case.
@@ -115,13 +112,4 @@ PipelineResult run_pipeline(const analyzer::GapEvaluator& eval,
                             const explain::FlowOracle& oracle,
                             const PipelineOptions& opts = {});
 
-/// Core vocabulary for multi-case drivers (the engine, the compat shims).
-using CaseList = std::vector<std::shared_ptr<const HeuristicCase>>;
-
 }  // namespace xplain
-
-// Deprecated pre-Engine entry points (run_dp_pipeline / run_ff_pipeline /
-// run_batch), kept so out-of-tree callers compile.  New code: xplain::Engine
-// over an ExperimentSpec, or run_pipeline(*registry().find(name)) for one
-// case.
-#include "xplain/compat.h"

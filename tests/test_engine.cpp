@@ -2,18 +2,22 @@
 // XPLAIN_WORKERS settings (the acceptance criterion: a >= 6-job grid is
 // identical for any worker count), ExperimentResult JSON round-trips, the
 // wcmp-over-corpus Type-3 path, and loud failure for jobs that cannot
-// build.
+// build or whose build throws — confined to those jobs, and reported
+// exactly as server::Service reports it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cases/ff_case.h"
 #include "engine/engine.h"
 #include "scenario/scenario.h"
+#include "server/service.h"
 #include "util/json.h"
 
 using namespace xplain;
@@ -98,6 +102,14 @@ void expect_same_results(const ExperimentResult& a, const ExperimentResult& b) {
     EXPECT_DOUBLE_EQ(a.trends.predicates[p].p_value,
                      b.trends.predicates[p].p_value);
   }
+}
+
+/// Wall time is the one legitimately nondeterministic field of a fresh
+/// run; zero it when comparing two executors' output.
+ExperimentSummary scrub_wall(ExperimentSummary s) {
+  s.wall_seconds = 0.0;
+  for (JobSummary& j : s.jobs) j.wall_seconds = 0.0;
+  return s;
 }
 
 struct EnvGuard {
@@ -354,6 +366,47 @@ TEST(Engine, UnknownAndDefaultOnlyCasesFailLoudly) {
   EXPECT_TRUE(ok_res.jobs[0].ok);
 }
 
+TEST(Engine, ThrowingJobFailsAloneAndMatchesTheService) {
+  // One job path serves both executors: a factory that throws fails its own
+  // jobs with the same "job threw:" error the service reports, and every
+  // other job in the grid still completes.
+  CaseRegistry reg;
+  reg.add("vbp", CaseRegistry::Factory(
+                     [](const scenario::ScenarioSpec* spec)
+                         -> std::shared_ptr<HeuristicCase> {
+                       return std::make_shared<cases::VbpCase>(
+                           spec ? cases::VbpCase::scenario_instance(*spec)
+                                : cases::VbpCase::paper_instance());
+                     }));
+  reg.add("throws", CaseRegistry::Factory(
+                        [](const scenario::ScenarioSpec*)
+                            -> std::shared_ptr<HeuristicCase> {
+                          throw std::runtime_error("injected build failure");
+                        }));
+  ExperimentSpec spec;
+  spec.cases = {"vbp", "throws"};
+  spec.scenarios = {line(3), line(4)};
+  spec.options.min_gap = 1.0;
+  spec.options.subspace.max_subspaces = 1;
+  spec.options.explain.samples = 20;
+  spec.grammar.p_threshold = 1.1;  // keep every mined trend: smoke only
+  spec.workers = 2;
+
+  const ExperimentResult res = Engine(reg).run(spec);
+  ASSERT_EQ(res.jobs.size(), 4u);
+  for (int i = 0; i < 2; ++i) EXPECT_TRUE(res.jobs[i].ok) << res.jobs[i].error;
+  for (int i = 2; i < 4; ++i) {
+    EXPECT_FALSE(res.jobs[i].ok);
+    EXPECT_EQ(res.jobs[i].error, "job threw: injected build failure");
+  }
+  EXPECT_EQ(res.trends.observations.size(), 2u);
+
+  server::ServiceOptions o;
+  o.workers = 2;
+  server::Service svc(o, reg);
+  EXPECT_TRUE(scrub_wall(res.summary()) == scrub_wall(svc.run(spec)));
+}
+
 TEST(Engine, ExperimentSummaryJsonRoundTripsExactly) {
   // Synthetic summary with adversarial content: quotes, newlines,
   // non-representable-in-decimal doubles, empty and missing fields.
@@ -440,4 +493,18 @@ TEST(UtilJson, ParseRejectsMalformedDocuments) {
   EXPECT_FALSE(Json::parse("{\"a\" 1}").has_value());
   EXPECT_FALSE(Json::parse("\"unterminated").has_value());
   ASSERT_TRUE(Json::parse("  {\"a\": [1, 2.5e3, true, null]} ").has_value());
+}
+
+TEST(UtilJson, ParseRejectsHostileNestingWithoutRecursingAway) {
+  using util::Json;
+  // 200k unclosed arrays: rejected at the nesting bound, not by running
+  // the recursive descent off the end of the stack.
+  EXPECT_FALSE(Json::parse(std::string(200000, '[')).has_value());
+  // Balanced but absurdly deep is rejected the same way...
+  EXPECT_FALSE(
+      Json::parse(std::string(5000, '[') + std::string(5000, ']')).has_value());
+  // ...while ordinary nesting still parses.
+  const auto ok = Json::parse(std::string(64, '[') + std::string(64, ']'));
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->kind(), Json::Kind::kArray);
 }

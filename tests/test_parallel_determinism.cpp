@@ -2,7 +2,7 @@
 // check_significance, and the SearchAnalyzer presample must produce
 // identical results for any worker count (1 / 2 / 8).  This is the contract
 // util::parallel_chunks documents — parallelism changes wall clock, never
-// the answer — and it is what keeps run_batch reproducible end to end.
+// the answer — and it is what keeps Engine grids reproducible end to end.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

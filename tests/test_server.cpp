@@ -4,14 +4,16 @@
 // acceptance criteria — a repeated submission is served bitwise identical
 // from cache with ZERO new LP work, results match Engine::run for any pool
 // size, drain-under-load neither loses nor duplicates a job, a throwing
-// case build strands no claimant, and a restarted service replays the
-// journaled working set with zero new LP work.  Runs under TSan in CI with
+// case build strands no claimant, a restarted service replays the
+// journaled working set with zero new LP work, and the xplaind request
+// loop survives a hostile line.  Runs under TSan in CI with
 // XPLAIN_WORKERS=4 (and the persistence cases under ASan).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,9 +22,11 @@
 #include "engine/engine.h"
 #include "scenario/spec.h"
 #include "server/job_queue.h"
+#include "server/protocol.h"
 #include "server/result_cache.h"
 #include "server/service.h"
 #include "solver/lp.h"
+#include "util/json.h"
 
 using namespace xplain;
 using server::CacheOptions;
@@ -689,7 +693,7 @@ TEST(Service, UnknownCaseFailsLoudlyAndIsNeverCached) {
 
 TEST(Service, ThrowingCaseBuildStrandsNoClaimant) {
   // A factory that throws exercises every unwind guard on the job path:
-  // the case-memo claim (scenario_case), the result-cache claim
+  // the case-memo claim (CaseMemo::acquire), the result-cache claim
   // (ClaimGuard), and the catch-all that still delivers the job.  The test
   // passing AT ALL is the headline assertion — before the guards, the
   // second submission of the same key blocked forever.
@@ -784,4 +788,27 @@ TEST(Service, ShutdownIsIdempotentAndTerminal) {
   EXPECT_EQ(svc.submit(spec), Service::kRejected);
   EXPECT_TRUE(svc.run(spec).jobs.empty());
   // The destructor's shutdown() is then also a no-op.
+}
+
+TEST(Service, ProtocolAnswersHostileNestingThenServesStats) {
+  // The xplaind request loop, in process: a line nested far past the JSON
+  // parser's bound gets an error event (not a stack overflow), and the
+  // loop keeps serving.
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  std::istringstream in(std::string(200000, '[') + "\n{\"op\":\"stats\"}\n");
+  std::ostringstream out;
+  server::serve(svc, in, out);
+
+  std::istringstream events(out.str());
+  std::vector<std::string> kinds;
+  for (std::string line; std::getline(events, line);) {
+    const auto e = util::Json::parse(line);
+    ASSERT_TRUE(e.has_value()) << line;
+    const util::Json* kind = e->find("event");
+    ASSERT_NE(kind, nullptr) << line;
+    kinds.push_back(kind->as_str());
+  }
+  EXPECT_EQ(kinds, (std::vector<std::string>{"error", "stats"}));
 }

@@ -12,7 +12,7 @@
 // so CI runs the whole suite under both pricing rules, the partial-vs-
 // Dantzig differential is asserted directly on the corpus and random
 // families, and the Forrest-Tomlin machinery gets its own metamorphic
-// coverage (warm == cold with the dense fallback disabled, plus an
+// coverage (warm == cold under random rhs moves, plus an
 // injected update rejection that must cost a refactorization, never the
 // answer).
 //
@@ -296,28 +296,6 @@ TEST(SolverPricing, ModesAgreeOnRandomLps) {
     expect_pricing_agreement(random_lp(rng), "random", t);
 }
 
-TEST(SolverPricing, ModesAgreeUnderForcedSparsePath) {
-  // dense_basis_dim=0 pushes even tiny LPs through the sparse FT machinery,
-  // so the partial-pricing/FT interaction is exercised where the default
-  // dense fallback would otherwise hide it.
-  Rng rng(20260808);
-  for (int t = 0; t < 30; ++t) {
-    const LpProblem p = random_lp(rng);
-    xs::SimplexOptions dantzig, partial;
-    dantzig.pricing = xs::PricingRule::kDantzig;
-    dantzig.dense_basis_dim = 0;
-    partial.pricing = xs::PricingRule::kPartial;
-    partial.partial_pricing_min_cols = 0;
-    partial.dense_basis_dim = 0;
-    const auto a = xs::solve_lp(p, dantzig);
-    const auto b = xs::solve_lp(p, partial);
-    ASSERT_EQ(a.status, b.status) << "sparse #" << t;
-    if (a.status != Status::kOptimal) continue;
-    EXPECT_NEAR(a.obj, b.obj, 1e-6 * (1.0 + std::abs(a.obj))) << "sparse #" << t;
-    EXPECT_TRUE(p.feasible(b.x, 1e-6)) << "sparse #" << t;
-  }
-}
-
 // The acceptance criterion's floor: the suite covers >= 200 distinct
 // seeded LPs.  Computed from the family sizes (corpus_lps() regenerates
 // deterministically), not from a global execution tally, so the check is
@@ -403,13 +381,11 @@ TEST(SolverWarmMetamorphic, BoundMovesLikeSolveMilp) {
   EXPECT_GE(solved, 100);
 }
 
-TEST(SolverWarmMetamorphic, WarmEqualsColdUnderForcedSparseFt) {
-  // dense_basis_dim=0 disables the tiny-LP dense fallback, so every warm
-  // install, dual repair, and pivot below runs on the sparse
-  // Forrest-Tomlin representation the fat-tree(16) instances use — the
-  // dense path must not be the only one honoring warm == cold.
-  xs::SimplexOptions opts = fuzz_opts();
-  opts.dense_basis_dim = 0;
+TEST(SolverWarmMetamorphic, RhsMovesOnRandomLps) {
+  // The rhs-move pattern over random LPs (not only the LB corpus): every
+  // warm install, dual repair, and pivot below runs on the Forrest-Tomlin
+  // representation.
+  const xs::SimplexOptions opts = fuzz_opts();
   ASSERT_TRUE(opts.ft_updates);  // the default: FT, not the eta baseline
   Rng rng(66666);
   int checked = 0;
@@ -421,7 +397,7 @@ TEST(SolverWarmMetamorphic, WarmEqualsColdUnderForcedSparseFt) {
     for (int i = 0; i < q.num_rows(); ++i)
       q.set_row_rhs(i, rng.uniform(0.0, 1.1) *
                            std::max(1.0, std::abs(q.row(i).rhs)));
-    expect_warm_equals_cold(q, parent.basis, "sparse_ft", trial, opts);
+    expect_warm_equals_cold(q, parent.basis, "random_rhs", trial, opts);
     ++checked;
   }
   EXPECT_GE(checked, 80);
@@ -534,8 +510,7 @@ TEST(SolverFtRejection, RejectedUpdateRefactorizesAndMatchesCleanSolve) {
   int injected = 0;
   for (int t = 0; t < 30; ++t) {
     const LpProblem p = pivot_mill(rng);
-    xs::SimplexOptions opts = fuzz_opts();
-    opts.dense_basis_dim = 0;  // force the sparse FT path
+    const xs::SimplexOptions opts = fuzz_opts();
     const auto clean = xs::solve_lp(p, opts);
     ASSERT_EQ(clean.status, Status::kOptimal) << "trial " << t;
     // fail_update_at=2 needs a second basis-update attempt to exist.

@@ -99,9 +99,8 @@ SERVER_FORBIDDEN = {"cases"}
 # the equal-rank rule — and it probes cases the same registry-driven way,
 # so the cases ban is explicit here too.
 SEARCH_FORBIDDEN = {"cases"}
-# src/xplain is core too, with two sanctioned exceptions: compat.h (the
-# deprecated shim header whose signatures need te/vbp types) and
-# scenario/spec.h (the dependency-free ScenarioSpec POD).
+# src/xplain is core too, with one sanctioned exception: scenario/spec.h
+# (the dependency-free ScenarioSpec POD).
 XPLAIN_FORBIDDEN = DOMAIN_DIRS - {"xplain"}
 XPLAIN_ALLOWED_INCLUDES = {"scenario/spec.h"}
 
@@ -261,16 +260,12 @@ def lint_file(virtual_path, text):
             inc = m.group(1)
             inc_dir = inc.split("/", 1)[0]
             if inc_dir in LAYER_RANK and inc_dir != layer:
-                basename = Path(vpath).name
-                is_compat_shim = vpath.endswith("src/xplain/compat.h") or (
-                    layer == "xplain" and basename == "compat.h")
                 if layer == "xplain" and inc_dir in XPLAIN_FORBIDDEN \
-                        and not is_compat_shim \
                         and inc not in XPLAIN_ALLOWED_INCLUDES:
                     add(i, "layering",
                         f'src/xplain must not include "{inc}" — the core '
-                        "pipeline stays case-agnostic (compat.h and "
-                        "scenario/spec.h are the sanctioned exceptions)")
+                        "pipeline stays case-agnostic (scenario/spec.h is "
+                        "the sanctioned exception)")
                 elif layer == "server" and inc_dir in SERVER_FORBIDDEN:
                     add(i, "layering",
                         f'src/server must not include "{inc}" — the service '
@@ -286,8 +281,7 @@ def lint_file(virtual_path, text):
                         f'src/{layer} (core) must not include "{inc}" — '
                         "cases adapt to the core interfaces, never vice "
                         "versa")
-                elif not is_compat_shim and \
-                        LAYER_RANK[inc_dir] >= LAYER_RANK[layer]:
+                elif LAYER_RANK[inc_dir] >= LAYER_RANK[layer]:
                     add(i, "layering",
                         f'src/{layer} (rank {LAYER_RANK[layer]}) may only '
                         f'include layers strictly below it; "{inc}" is '
