@@ -1,12 +1,9 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 
 #include "engine/grid_job.h"
 #include "generalize/grammar.h"
-#include "solver/lp.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -50,6 +47,27 @@ int count_significant(const PipelineResult& r) {
   return n;
 }
 
+// The job digest's LP counters (LpCounterField::in_digest): the digest is
+// the server's cached wire format, so every copy, comparison, serializer
+// and parser below goes through these three and the key set never moves.
+solver::LpCounters digest_lp(const solver::LpCounters& lp) {
+  solver::LpCounters d;
+  for (const solver::LpCounterField& f : solver::kLpCounterFields)
+    if (f.in_digest) d.*f.member = lp.*f.member;
+  return d;
+}
+
+void set_digest_lp(util::Json& obj, const solver::LpCounters& lp) {
+  for (const solver::LpCounterField& f : solver::kLpCounterFields)
+    if (f.in_digest) obj.set(f.key, lp.*f.member);
+}
+
+bool read_digest_lp(const util::Json& obj, solver::LpCounters* lp) {
+  for (const solver::LpCounterField& f : solver::kLpCounterFields)
+    if (f.in_digest && !obj.read_int(f.key, &(lp->*f.member))) return false;
+  return true;
+}
+
 }  // namespace
 
 PipelineOptions derived_job_options(const ExperimentSpec& spec, int index,
@@ -80,10 +98,7 @@ bool JobSummary::operator==(const JobSummary& o) const {
          subspaces == o.subspaces && significant == o.significant &&
          best_gap_found == o.best_gap_found &&
          max_seed_gap == o.max_seed_gap && gap_scale == o.gap_scale &&
-         wall_seconds == o.wall_seconds && lp_solves == o.lp_solves &&
-         lp_iterations == o.lp_iterations &&
-         lp_columns_priced == o.lp_columns_priced &&
-         lp_candidate_refills == o.lp_candidate_refills &&
+         wall_seconds == o.wall_seconds && digest_lp(lp) == digest_lp(o.lp) &&
          features == o.features && seed == o.seed &&
          options_fingerprint == o.options_fingerprint;
 }
@@ -97,9 +112,7 @@ bool TrendSummary::operator==(const TrendSummary& o) const {
 bool ExperimentSummary::operator==(const ExperimentSummary& o) const {
   return jobs == o.jobs && trends == o.trends &&
          observations == o.observations && wall_seconds == o.wall_seconds &&
-         lp_solves == o.lp_solves && lp_iterations == o.lp_iterations &&
-         lp_columns_priced == o.lp_columns_priced &&
-         lp_candidate_refills == o.lp_candidate_refills;
+         digest_lp(lp) == digest_lp(o.lp);
 }
 
 util::Json JobSummary::to_json_value() const {
@@ -115,12 +128,9 @@ util::Json JobSummary::to_json_value() const {
   jj.set("max_seed_gap", max_seed_gap);
   jj.set("gap_scale", gap_scale);
   jj.set("wall_seconds", wall_seconds);
-  jj.set("lp_solves", lp_solves);
-  jj.set("lp_iterations", lp_iterations);
-  jj.set("lp_columns_priced", lp_columns_priced);
-  jj.set("lp_candidate_refills", lp_candidate_refills);
+  set_digest_lp(jj, lp);
   // All 64 bits of the salt survive only as a string (doubles clip at
-  // 2^53); from_json_value parses it back with strtoull.
+  // 2^53); from_json_value's read_int parses it back exactly.
   jj.set("seed", std::to_string(seed));
   jj.set("options_fingerprint", options_fingerprint);
   util::Json feats = util::Json::object();
@@ -131,41 +141,23 @@ util::Json JobSummary::to_json_value() const {
 
 std::optional<JobSummary> JobSummary::from_json_value(const util::Json& jj) {
   if (jj.kind() != util::Json::Kind::kObject) return std::nullopt;
-  const auto num = [&](const char* key) {
-    const util::Json* v = jj.find(key);
-    return v ? v->as_num() : 0.0;
-  };
-  const auto str = [&](const char* key) {
-    const util::Json* v = jj.find(key);
-    return v ? v->as_str() : std::string();
-  };
   JobSummary j;
-  j.case_name = str("case");
-  j.scenario = str("scenario");  // null -> "" (the default instance)
-  j.index = static_cast<int>(num("index"));
+  // Integer fields are checked reads: the cache parses journal lines here.
+  if (!jj.read_int("index", &j.index) ||
+      !jj.read_int("subspaces", &j.subspaces) ||
+      !jj.read_int("significant", &j.significant) ||
+      !jj.read_int("seed", &j.seed) || !read_digest_lp(jj, &j.lp))
+    return std::nullopt;
+  j.case_name = jj.str_or("case");
+  j.scenario = jj.str_or("scenario");  // null -> "" (the default instance)
   const util::Json* ok = jj.find("ok");
   j.ok = ok && ok->as_bool();
-  j.error = str("error");
-  j.subspaces = static_cast<int>(num("subspaces"));
-  j.significant = static_cast<int>(num("significant"));
-  j.best_gap_found = num("best_gap_found");
-  j.max_seed_gap = num("max_seed_gap");
-  j.gap_scale = num("gap_scale");
-  j.wall_seconds = num("wall_seconds");
-  j.lp_solves = static_cast<long>(num("lp_solves"));
-  j.lp_iterations = static_cast<long>(num("lp_iterations"));
-  j.lp_columns_priced = static_cast<long>(num("lp_columns_priced"));
-  j.lp_candidate_refills = static_cast<long>(num("lp_candidate_refills"));
-  const std::string seed_str = str("seed");
-  if (!seed_str.empty()) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(seed_str.c_str(), &end, 10);
-    if (errno != 0 || end == seed_str.c_str() || *end != '\0')
-      return std::nullopt;
-    j.seed = static_cast<std::uint64_t>(v);
-  }
-  j.options_fingerprint = str("options_fingerprint");
+  j.error = jj.str_or("error");
+  j.best_gap_found = jj.num_or("best_gap_found");
+  j.max_seed_gap = jj.num_or("max_seed_gap");
+  j.gap_scale = jj.num_or("gap_scale");
+  j.wall_seconds = jj.num_or("wall_seconds");
+  j.options_fingerprint = jj.str_or("options_fingerprint");
   if (const util::Json* feats = jj.find("features"))
     for (const auto& [k, v] : feats->members()) j.features[k] = v.as_num();
   return j;
@@ -191,10 +183,7 @@ std::string ExperimentSummary::to_json(int indent) const {
   root.set("trends", std::move(trend_arr));
   root.set("observations", observations);
   root.set("wall_seconds", wall_seconds);
-  root.set("lp_solves", lp_solves);
-  root.set("lp_iterations", lp_iterations);
-  root.set("lp_columns_priced", lp_columns_priced);
-  root.set("lp_candidate_refills", lp_candidate_refills);
+  set_digest_lp(root, lp);
   return root.dump(indent);
 }
 
@@ -209,15 +198,6 @@ std::optional<ExperimentSummary> ExperimentSummary::from_json(
       trends->kind() != util::Json::Kind::kArray)
     return std::nullopt;
 
-  const auto num = [](const util::Json& obj, const char* key) {
-    const util::Json* v = obj.find(key);
-    return v ? v->as_num() : 0.0;
-  };
-  const auto str = [](const util::Json& obj, const char* key) {
-    const util::Json* v = obj.find(key);
-    return v ? v->as_str() : std::string();
-  };
-
   ExperimentSummary out;
   for (const auto& jj : jobs->items()) {
     std::optional<JobSummary> j = JobSummary::from_json_value(jj);
@@ -227,22 +207,18 @@ std::optional<ExperimentSummary> ExperimentSummary::from_json(
   for (const auto& tj : trends->items()) {
     if (tj.kind() != util::Json::Kind::kObject) return std::nullopt;
     TrendSummary t;
-    t.predicate = str(tj, "predicate");
-    t.feature = str(tj, "feature");
-    t.increasing = str(tj, "trend") != "decreasing";
-    t.rho = num(tj, "rho");
-    t.p_value = num(tj, "p_value");
-    t.support = static_cast<int>(num(tj, "support"));
+    t.predicate = tj.str_or("predicate");
+    t.feature = tj.str_or("feature");
+    t.increasing = tj.str_or("trend") != "decreasing";
+    t.rho = tj.num_or("rho");
+    t.p_value = tj.num_or("p_value");
+    if (!tj.read_int("support", &t.support)) return std::nullopt;
     out.trends.push_back(std::move(t));
   }
-  out.observations = static_cast<int>(num(*parsed, "observations"));
-  out.wall_seconds = num(*parsed, "wall_seconds");
-  out.lp_solves = static_cast<long>(num(*parsed, "lp_solves"));
-  out.lp_iterations = static_cast<long>(num(*parsed, "lp_iterations"));
-  out.lp_columns_priced =
-      static_cast<long>(num(*parsed, "lp_columns_priced"));
-  out.lp_candidate_refills =
-      static_cast<long>(num(*parsed, "lp_candidate_refills"));
+  if (!parsed->read_int("observations", &out.observations) ||
+      !read_digest_lp(*parsed, &out.lp))
+    return std::nullopt;
+  out.wall_seconds = parsed->num_or("wall_seconds");
   return out;
 }
 
@@ -265,10 +241,7 @@ JobSummary make_job_summary(const JobResult& j) {
   s.max_seed_gap = j.pipeline.max_gap();
   s.gap_scale = j.pipeline.gap_scale;
   s.wall_seconds = j.pipeline.wall_seconds;
-  s.lp_solves = j.pipeline.stages.lp_solves;
-  s.lp_iterations = j.pipeline.stages.lp_iterations;
-  s.lp_columns_priced = j.pipeline.stages.lp_columns_priced;
-  s.lp_candidate_refills = j.pipeline.stages.lp_candidate_refills;
+  s.lp = digest_lp(j.pipeline.stages.lp);
   s.features = j.pipeline.features;
   s.seed = j.seed;
   s.options_fingerprint = j.options_fingerprint;
@@ -299,10 +272,7 @@ ExperimentSummary ExperimentResult::summary() const {
   out.trends = make_trend_summaries(trends);
   out.observations = static_cast<int>(trends.observations.size());
   out.wall_seconds = wall_seconds;
-  out.lp_solves = stages.lp_solves;
-  out.lp_iterations = stages.lp_iterations;
-  out.lp_columns_priced = stages.lp_columns_priced;
-  out.lp_candidate_refills = stages.lp_candidate_refills;
+  out.lp = digest_lp(stages.lp);
   return out;
 }
 
@@ -340,7 +310,6 @@ std::vector<ExperimentJob> Engine::expand(const ExperimentSpec& spec) const {
 ExperimentResult Engine::run(const ExperimentSpec& spec,
                              const JobCallback& on_job) const {
   util::Timer timer;
-  const solver::LpCounters lp0 = solver::lp_counters();
   ExperimentResult out;
 
   const std::vector<ExperimentJob> jobs = expand(spec);
@@ -376,19 +345,12 @@ ExperimentResult Engine::run(const ExperimentSpec& spec,
       });
   out.case_builds = static_cast<int>(cases.builds());
 
+  // The experiment's LP total is the sum of the exact per-job deltas, the
+  // same derivation Service::wait uses.
   for (const auto& j : out.jobs) {
     out.trace += j.pipeline.trace;
     out.stages += j.pipeline.stages;
   }
-  // Thread-inclusive counters (lp.h): per-job deltas are exact, and this
-  // experiment-level snapshot is too — the pool joined above, flushing
-  // every worker's counts.
-  const solver::LpCounters lp1 = solver::lp_counters();
-  out.stages.lp_solves = lp1.solves - lp0.solves;
-  out.stages.lp_iterations = lp1.iterations - lp0.iterations;
-  out.stages.lp_columns_priced = lp1.columns_priced - lp0.columns_priced;
-  out.stages.lp_candidate_refills =
-      lp1.candidate_refills - lp0.candidate_refills;
 
   if (spec.run_generalizer)
     out.trends = generalize_jobs(out.summary().jobs, spec);

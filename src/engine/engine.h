@@ -44,6 +44,7 @@
 
 #include "generalize/generalizer.h"
 #include "scenario/spec.h"
+#include "solver/lp.h"
 #include "util/json.h"
 #include "xplain/case.h"
 #include "xplain/pipeline.h"
@@ -142,13 +143,11 @@ struct JobSummary {
   double max_seed_gap = 0.0;
   double gap_scale = 1.0;
   double wall_seconds = 0.0;
-  /// Exact even under concurrent workers: solver::lp_counters is
-  /// thread-inclusive, so each job's delta counts precisely the LP work its
-  /// worker (and any pools it joined) performed.
-  long lp_solves = 0;
-  long lp_iterations = 0;
-  long lp_columns_priced = 0;
-  long lp_candidate_refills = 0;
+  /// The job's StageTimes::lp, exact even under concurrent workers (the
+  /// counters are thread-inclusive).  Only the digest counters
+  /// (LpCounterField::in_digest) are copied, serialized and compared — this
+  /// JSON is the cache's frozen wire format — so lp.warm_solves stays 0.
+  solver::LpCounters lp;
   std::map<std::string, double> features;
   /// Replication provenance (JobResult::seed / ::options_fingerprint).
   /// `seed` serializes as a decimal STRING: derived salts use all 64 bits
@@ -184,10 +183,8 @@ struct ExperimentSummary {
   std::vector<TrendSummary> trends;
   int observations = 0;  // instances the generalizer mined over
   double wall_seconds = 0.0;
-  long lp_solves = 0;
-  long lp_iterations = 0;
-  long lp_columns_priced = 0;
-  long lp_candidate_refills = 0;
+  /// The sum of the jobs' lp: digest counters only, like JobSummary::lp.
+  solver::LpCounters lp;
 
   bool operator==(const ExperimentSummary& o) const;
 
@@ -201,7 +198,8 @@ struct ExperimentResult {
   std::vector<JobResult> jobs;
   /// Type-3 output over the ok jobs (empty when run_generalizer is off).
   generalize::GeneralizerResult trends;
-  /// Merged accounting; lp counters are exact experiment-level snapshots.
+  /// Merged accounting: the sum of the jobs' traces and stages (so
+  /// stages.lp is the sum of the jobs' exact per-job LP work).
   subspace::GenerationTrace trace;
   StageTimes stages;
   double wall_seconds = 0.0;

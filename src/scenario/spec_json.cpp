@@ -1,33 +1,10 @@
 #include "scenario/spec_json.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 namespace xplain::scenario {
 
 namespace {
 
 using util::Json;
-
-double num_or(const Json& obj, const char* key, double dflt) {
-  const Json* v = obj.find(key);
-  return v && v->kind() == Json::Kind::kNumber ? v->as_num() : dflt;
-}
-
-std::uint64_t u64_or(const Json& obj, const char* key, std::uint64_t dflt) {
-  const Json* v = obj.find(key);
-  if (!v) return dflt;
-  if (v->kind() == Json::Kind::kNumber)
-    return static_cast<std::uint64_t>(v->as_num());
-  if (v->kind() == Json::Kind::kString) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long u = std::strtoull(v->as_str().c_str(), &end, 10);
-    if (errno == 0 && end != v->as_str().c_str() && *end == '\0')
-      return static_cast<std::uint64_t>(u);
-  }
-  return dflt;
-}
 
 }  // namespace
 
@@ -60,14 +37,21 @@ std::optional<ScenarioSpec> spec_from_json(const Json& v, std::string* err) {
     else if (k == "star") out.kind = TopologyKind::kStar;
     else return fail("unknown scenario kind \"" + k + "\"");
   }
-  out.size = static_cast<int>(num_or(v, "size", out.size));
-  out.capacity = num_or(v, "capacity", out.capacity);
-  out.waxman_alpha = num_or(v, "waxman_alpha", out.waxman_alpha);
-  out.waxman_beta = num_or(v, "waxman_beta", out.waxman_beta);
-  out.seed = u64_or(v, "seed", out.seed);
-  out.failed_links = static_cast<int>(num_or(v, "failed_links", out.failed_links));
+  // Integer fields are checked reads, never casts (the seed may be a
+  // decimal string: numbers clip above 2^53).
+  const auto bad_int = [&](const char* key) {
+    return fail(std::string("scenario field \"") + key +
+                "\" must be a whole number within its integer range");
+  };
+  if (!v.read_int("size", &out.size)) return bad_int("size");
+  if (!v.read_int("failed_links", &out.failed_links))
+    return bad_int("failed_links");
+  if (!v.read_int("seed", &out.seed)) return bad_int("seed");
+  out.capacity = v.num_or("capacity", out.capacity);
+  out.waxman_alpha = v.num_or("waxman_alpha", out.waxman_alpha);
+  out.waxman_beta = v.num_or("waxman_beta", out.waxman_beta);
   out.capacity_degradation =
-      num_or(v, "capacity_degradation", out.capacity_degradation);
+      v.num_or("capacity_degradation", out.capacity_degradation);
   return out;
 }
 

@@ -8,7 +8,8 @@
 // numbers clip above 2^53) and doubles via util::Json's max_digits10
 // printing — so to -> from -> to round-trips byte-for-byte.  spec_from_json
 // is lenient the way the daemon always was: absent fields keep their spec
-// defaults; only a malformed shape or an unknown kind is an error.
+// defaults; only a malformed shape, an unknown kind or an integer field
+// that is fractional or out of its type's range is an error.
 #pragma once
 
 #include <optional>

@@ -75,19 +75,12 @@ std::optional<Archive> Archive::from_json(const std::string& text,
         scenario::spec_from_json(*scen, &spec_err);
     if (!spec) return fail("discovery.scenario: " + spec_err);
     d.spec = *spec;
-    const auto num = [&](const char* key) {
-      const Json* v = e.find(key);
-      return v ? v->as_num() : 0.0;
-    };
-    const auto str = [&](const char* key) {
-      const Json* v = e.find(key);
-      return v ? v->as_str() : std::string();
-    };
-    d.gap = num("gap");
-    d.norm_gap = num("norm_gap");
-    d.bucket = str("bucket");
-    d.generation = static_cast<int>(num("generation"));
-    d.options_fingerprint = str("options_fingerprint");
+    d.gap = e.num_or("gap");
+    d.norm_gap = e.num_or("norm_gap");
+    d.bucket = e.str_or("bucket");
+    if (!e.read_int("generation", &d.generation))
+      return fail("discovery.generation must be a whole number in int range");
+    d.options_fingerprint = e.str_or("options_fingerprint");
     out.add(d);
   }
   return out;

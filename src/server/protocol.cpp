@@ -1,7 +1,5 @@
 #include "server/protocol.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -17,13 +15,15 @@ namespace {
 
 using util::Json;
 
-double num_or(const Json& obj, const char* key, double dflt) {
-  const Json* v = obj.find(key);
-  return v && v->kind() == Json::Kind::kNumber ? v->as_num() : dflt;
-}
-
-int int_or(const Json& obj, const char* key, int dflt) {
-  return static_cast<int>(num_or(obj, key, dflt));
+// Integer fields are checked reads (util::Json::read_int): a bad value
+// ("samples":1e300, "seed":-1) records the first such field in *err, and
+// the caller rejects the request before anything runs or is cached.
+template <typename T>
+T int_or(const Json& obj, const char* key, T dflt, std::string* err) {
+  if (!obj.read_int(key, &dflt) && err->empty())
+    *err = std::string("field \"") + key +
+           "\" must be a whole number within its integer range";
+  return dflt;
 }
 
 bool bool_or(const Json& obj, const char* key, bool dflt) {
@@ -31,68 +31,54 @@ bool bool_or(const Json& obj, const char* key, bool dflt) {
   return v && v->kind() == Json::Kind::kBool ? v->as_bool() : dflt;
 }
 
-std::uint64_t u64_or(const Json& obj, const char* key, std::uint64_t dflt) {
-  const Json* v = obj.find(key);
-  if (!v) return dflt;
-  if (v->kind() == Json::Kind::kNumber)
-    return static_cast<std::uint64_t>(v->as_num());
-  if (v->kind() == Json::Kind::kString) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long u = std::strtoull(v->as_str().c_str(), &end, 10);
-    if (errno == 0 && end != v->as_str().c_str() && *end == '\0')
-      return static_cast<std::uint64_t>(u);
-  }
-  return dflt;
-}
-
-void parse_pipeline_options(const Json& v, PipelineOptions* o) {
-  o->min_gap = num_or(v, "min_gap", o->min_gap);
-  o->seed_salt = u64_or(v, "seed_salt", o->seed_salt);
+void parse_pipeline_options(const Json& v, PipelineOptions* o,
+                            std::string* err) {
+  o->min_gap = v.num_or("min_gap", o->min_gap);
+  o->seed_salt = int_or(v, "seed_salt", o->seed_salt, err);
   if (const Json* s = v.find("subspace")) {
     auto& sub = o->subspace;
-    sub.bad_gap_fraction = num_or(*s, "bad_gap_fraction", sub.bad_gap_fraction);
+    sub.bad_gap_fraction = s->num_or("bad_gap_fraction", sub.bad_gap_fraction);
     sub.density_threshold =
-        num_or(*s, "density_threshold", sub.density_threshold);
-    sub.dkw_eps = num_or(*s, "dkw_eps", sub.dkw_eps);
-    sub.dkw_delta = num_or(*s, "dkw_delta", sub.dkw_delta);
+        s->num_or("density_threshold", sub.density_threshold);
+    sub.dkw_eps = s->num_or("dkw_eps", sub.dkw_eps);
+    sub.dkw_delta = s->num_or("dkw_delta", sub.dkw_delta);
     sub.init_half_width_frac =
-        num_or(*s, "init_half_width_frac", sub.init_half_width_frac);
-    sub.slice_frac = num_or(*s, "slice_frac", sub.slice_frac);
+        s->num_or("init_half_width_frac", sub.init_half_width_frac);
+    sub.slice_frac = s->num_or("slice_frac", sub.slice_frac);
     sub.max_expansion_rounds =
-        int_or(*s, "max_expansion_rounds", sub.max_expansion_rounds);
-    sub.tree_samples = int_or(*s, "tree_samples", sub.tree_samples);
+        int_or(*s, "max_expansion_rounds", sub.max_expansion_rounds, err);
+    sub.tree_samples = int_or(*s, "tree_samples", sub.tree_samples, err);
     sub.tree_inflate_frac =
-        num_or(*s, "tree_inflate_frac", sub.tree_inflate_frac);
-    sub.max_subspaces = int_or(*s, "max_subspaces", sub.max_subspaces);
-    sub.seed = u64_or(*s, "seed", sub.seed);
+        s->num_or("tree_inflate_frac", sub.tree_inflate_frac);
+    sub.max_subspaces = int_or(*s, "max_subspaces", sub.max_subspaces, err);
+    sub.seed = int_or(*s, "seed", sub.seed, err);
     sub.keep_insignificant =
         bool_or(*s, "keep_insignificant", sub.keep_insignificant);
     if (const Json* t = s->find("tree")) {
-      sub.tree.max_depth = int_or(*t, "max_depth", sub.tree.max_depth);
+      sub.tree.max_depth = int_or(*t, "max_depth", sub.tree.max_depth, err);
       sub.tree.min_samples_leaf =
-          int_or(*t, "min_samples_leaf", sub.tree.min_samples_leaf);
+          int_or(*t, "min_samples_leaf", sub.tree.min_samples_leaf, err);
       sub.tree.max_thresholds =
-          int_or(*t, "max_thresholds", sub.tree.max_thresholds);
+          int_or(*t, "max_thresholds", sub.tree.max_thresholds, err);
     }
     if (const Json* g = s->find("significance")) {
-      sub.significance.pairs = int_or(*g, "pairs", sub.significance.pairs);
+      sub.significance.pairs = int_or(*g, "pairs", sub.significance.pairs, err);
       sub.significance.p_threshold =
-          num_or(*g, "p_threshold", sub.significance.p_threshold);
+          g->num_or("p_threshold", sub.significance.p_threshold);
       sub.significance.shell_frac =
-          num_or(*g, "shell_frac", sub.significance.shell_frac);
-      sub.significance.seed = u64_or(*g, "seed", sub.significance.seed);
+          g->num_or("shell_frac", sub.significance.shell_frac);
+      sub.significance.seed = int_or(*g, "seed", sub.significance.seed, err);
       sub.significance.workers =
-          int_or(*g, "workers", sub.significance.workers);
+          int_or(*g, "workers", sub.significance.workers, err);
     }
   }
   if (const Json* e = v.find("explain")) {
-    o->explain.samples = int_or(*e, "samples", o->explain.samples);
-    o->explain.flow_eps = num_or(*e, "flow_eps", o->explain.flow_eps);
-    o->explain.seed = u64_or(*e, "seed", o->explain.seed);
+    o->explain.samples = int_or(*e, "samples", o->explain.samples, err);
+    o->explain.flow_eps = e->num_or("flow_eps", o->explain.flow_eps);
+    o->explain.seed = int_or(*e, "seed", o->explain.seed, err);
     o->explain.attempts_per_sample =
-        int_or(*e, "attempts_per_sample", o->explain.attempts_per_sample);
-    o->explain.workers = int_or(*e, "workers", o->explain.workers);
+        int_or(*e, "attempts_per_sample", o->explain.attempts_per_sample, err);
+    o->explain.workers = int_or(*e, "workers", o->explain.workers, err);
   }
 }
 
@@ -128,11 +114,12 @@ bool parse_spec(const Json& v, ExperimentSpec* spec,
       spec->scenarios.push_back(*scen);
     }
   }
-  spec->seed = u64_or(v, "seed", spec->seed);
+  spec->seed = int_or(v, "seed", spec->seed, err);
   spec->reseed_jobs = bool_or(v, "reseed_jobs", spec->reseed_jobs);
   spec->run_generalizer = bool_or(v, "run_generalizer", spec->run_generalizer);
   spec->normalize_gap = bool_or(v, "normalize_gap", spec->normalize_gap);
-  if (const Json* o = v.find("options")) parse_pipeline_options(*o, &spec->options);
+  if (const Json* o = v.find("options"))
+    parse_pipeline_options(*o, &spec->options, err);
   // The option axis: each entry starts from the parsed base options and
   // applies its own overrides; the grid crosses cases x scenarios x
   // variants with variants innermost (ExperimentSpec::option_variants).
@@ -147,11 +134,11 @@ bool parse_spec(const Json& v, ExperimentSpec* spec,
         return false;
       }
       PipelineOptions variant = spec->options;
-      parse_pipeline_options(ov, &variant);
+      parse_pipeline_options(ov, &variant, err);
       spec->option_variants.push_back(variant);
     }
   }
-  return true;
+  return err->empty();  // else an integer field the readers rejected
 }
 
 void emit(std::ostream& out, const Json& event) {
@@ -238,11 +225,30 @@ void handle_submit(Service& service, const Json& req, std::ostream& out) {
   emit(out, d);
 }
 
+// std::getline with a bound: false at EOF; otherwise consumes through the
+// next '\n' but keeps at most kMaxRequestBytes + 1 bytes, so a longer line
+// comes back over the limit without ever being held whole.
+bool read_line(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf* buf = in.rdbuf();
+  int c = buf->sbumpc();
+  if (c == std::char_traits<char>::eof()) return false;
+  for (; c != std::char_traits<char>::eof() && c != '\n'; c = buf->sbumpc())
+    if (line.size() <= kMaxRequestBytes) line.push_back(static_cast<char>(c));
+  return true;
+}
+
 }  // namespace
 
 void serve(Service& service, std::istream& in, std::ostream& out) {
   std::string line;
-  while (std::getline(in, line)) {
+  while (read_line(in, line)) {
+    if (line.size() > kMaxRequestBytes) {
+      emit_error(out, nullptr,
+                 "request line longer than " +
+                     std::to_string(kMaxRequestBytes) + " bytes; discarded");
+      continue;
+    }
     if (line.empty()) continue;
     std::optional<Json> req = Json::parse(line);
     if (!req || req->kind() != Json::Kind::kObject) {

@@ -15,7 +15,9 @@
 //
 // Stats counters are decimal strings (exact past 2^53 — see stats_json).
 // A line that is not a JSON object (malformed, or nested deeper than the
-// parser accepts) gets an error event and the loop goes on.
+// parser accepts), is longer than kMaxRequestBytes, or holds an integer
+// field that is fractional or out of its type's range gets an error event
+// and the loop goes on; nothing from such a line is enqueued or cached.
 //
 // Requests are processed sequentially (the job-level parallelism lives in
 // the service's resident worker pool, sized by XPLAIN_WORKERS or one per
@@ -33,11 +35,17 @@
 // precision above 2^53 — use strings for salted seeds).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 
 #include "server/service.h"
 
 namespace xplain::server {
+
+/// Longest request line serve() accepts.  Bytes past it are discarded as
+/// they arrive (the line is never held whole) and the line is answered
+/// with one error event.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
 
 /// Answers requests read from `in` with events written to `out`, one line
 /// each, until EOF or a shutdown request.  Leaves the service running (the

@@ -94,13 +94,9 @@ ExperimentSummary Service::wait(std::uint64_t id) {
     submissions_.erase(id);
   }
   // Thread-inclusive per-job LP tallies sum to the submission's exact total
-  // (each job's delta was measured on the worker that ran it).
-  for (const JobSummary& j : out.jobs) {
-    out.lp_solves += j.lp_solves;
-    out.lp_iterations += j.lp_iterations;
-    out.lp_columns_priced += j.lp_columns_priced;
-    out.lp_candidate_refills += j.lp_candidate_refills;
-  }
+  // (each job's delta was measured on the worker that ran it) — the same
+  // derivation Engine::run uses.
+  for (const JobSummary& j : out.jobs) out.lp += j.lp;
   if (sub->spec.run_generalizer) {
     // The same trend mining Engine::run does, from the same summaries.
     const generalize::GeneralizerResult g =

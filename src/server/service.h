@@ -134,9 +134,10 @@ class Service {
       XPLAIN_EXCLUDES(mu_);
 
   /// Blocks until every job of `id` finished; returns the submission's
-  /// summary (jobs in grid order, trends mined like Engine::run does) and
-  /// releases the handle.  A second wait on the same id returns an empty
-  /// summary.
+  /// summary (jobs in grid order, trends mined like Engine::run does, lp
+  /// the sum of the jobs' lp — also like Engine::run; a cache hit counts
+  /// the LP work of the run that produced it) and releases the handle.  A
+  /// second wait on the same id returns an empty summary.
   ExperimentSummary wait(std::uint64_t id) XPLAIN_EXCLUDES(mu_);
 
   /// submit + wait.

@@ -5,7 +5,9 @@
 // target it). It plays the role Gurobi's model object plays for MetaOpt.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -154,6 +156,10 @@ struct LpSolution {
 /// never sees work still in flight on a thread it did not spawn through
 /// parallel_chunks — e.g. a hand-rolled std::thread's tallies reach the
 /// retired total (and other threads' view) only when that thread exits.
+///
+/// The one record of LP work: every layer that holds, sums, compares or
+/// reports it walks kLpCounterFields instead of naming fields, so adding a
+/// counter is one member here plus one row there.
 struct LpCounters {
   long solves = 0;
   long iterations = 0;
@@ -166,6 +172,45 @@ struct LpCounters {
   /// zero under pricing=dantzig).
   long candidate_refills = 0;
 };
+
+/// One LpCounters field: report key, member, and whether the job digest
+/// (JobSummary / ExperimentSummary JSON) carries it.  The digest is a wire
+/// format the server caches, journals and sizes for eviction, so its key
+/// set is frozen: no warm_solves, and a new counter joins with false.
+struct LpCounterField {
+  const char* key;
+  long LpCounters::*member;
+  bool in_digest;
+};
+
+/// Every LpCounters field, in report order.
+inline constexpr LpCounterField kLpCounterFields[] = {
+    {"lp_solves", &LpCounters::solves, true},
+    {"lp_iterations", &LpCounters::iterations, true},
+    {"lp_warm_solves", &LpCounters::warm_solves, false},
+    {"lp_columns_priced", &LpCounters::columns_priced, true},
+    {"lp_candidate_refills", &LpCounters::candidate_refills, true},
+};
+inline constexpr std::size_t kNumLpCounters = std::size(kLpCounterFields);
+static_assert(kNumLpCounters * sizeof(long) == sizeof(LpCounters),
+              "kLpCounterFields must list every LpCounters field");
+
+inline LpCounters& operator+=(LpCounters& a, const LpCounters& b) {
+  for (const LpCounterField& f : kLpCounterFields) a.*f.member += b.*f.member;
+  return a;
+}
+
+inline LpCounters operator-(LpCounters a, const LpCounters& b) {
+  for (const LpCounterField& f : kLpCounterFields) a.*f.member -= b.*f.member;
+  return a;
+}
+
+inline bool operator==(const LpCounters& a, const LpCounters& b) {
+  for (const LpCounterField& f : kLpCounterFields)
+    if (a.*f.member != b.*f.member) return false;
+  return true;
+}
+
 LpCounters lp_counters();
 
 }  // namespace xplain::solver

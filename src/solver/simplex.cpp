@@ -4,6 +4,7 @@
 #include <atomic>
 #include <climits>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "solver/lu.h"
@@ -30,44 +31,27 @@ namespace {
 // conservatively stale, never torn; per-region deltas on one thread are
 // exact (lp.h).  TSan checks the exit-flush handoff; clang thread-safety
 // has no obligations here.
-std::atomic<long> g_retired_solves{0};
-std::atomic<long> g_retired_iterations{0};
-std::atomic<long> g_retired_warm_solves{0};
-std::atomic<long> g_retired_columns_priced{0};
-std::atomic<long> g_retired_candidate_refills{0};
+std::atomic<long> g_retired[kNumLpCounters];  // by kLpCounterFields position
 
-struct ThreadLpCounters {
-  long solves = 0;
-  long iterations = 0;
-  long warm_solves = 0;
-  long columns_priced = 0;
-  long candidate_refills = 0;
-  ~ThreadLpCounters() {
-    g_retired_solves.fetch_add(solves, std::memory_order_relaxed);
-    g_retired_iterations.fetch_add(iterations, std::memory_order_relaxed);
-    g_retired_warm_solves.fetch_add(warm_solves, std::memory_order_relaxed);
-    g_retired_columns_priced.fetch_add(columns_priced,
-                                       std::memory_order_relaxed);
-    g_retired_candidate_refills.fetch_add(candidate_refills,
-                                          std::memory_order_relaxed);
+struct ExitFlushedLpCounters : LpCounters {
+  ~ExitFlushedLpCounters() {
+    for (std::size_t i = 0; i < kNumLpCounters; ++i)
+      g_retired[i].fetch_add(this->*kLpCounterFields[i].member,
+                             std::memory_order_relaxed);
   }
 };
 
-thread_local ThreadLpCounters t_lp;
+thread_local ExitFlushedLpCounters t_lp;
 
 void capture_thread_lp(std::vector<long>& out) {
-  out.assign({t_lp.solves, t_lp.iterations, t_lp.warm_solves,
-              t_lp.columns_priced, t_lp.candidate_refills});
-  t_lp.solves = t_lp.iterations = t_lp.warm_solves = 0;  // exit flushes 0
-  t_lp.columns_priced = t_lp.candidate_refills = 0;
+  out.clear();
+  for (const LpCounterField& f : kLpCounterFields)
+    out.push_back(std::exchange(t_lp.*f.member, 0));  // exit flushes 0
 }
 
 void absorb_thread_lp(const std::vector<long>& in) {
-  t_lp.solves += in[0];
-  t_lp.iterations += in[1];
-  t_lp.warm_solves += in[2];
-  t_lp.columns_priced += in[3];
-  t_lp.candidate_refills += in[4];
+  for (std::size_t i = 0; i < kNumLpCounters; ++i)
+    t_lp.*kLpCounterFields[i].member += in[i];
 }
 
 // simplex.cpp's object file always links (solve_lp is referenced), so this
@@ -911,17 +895,10 @@ LpSolution RevisedSimplex::run(const Basis* warm) {
 LpCounters lp_counters() {
   // Retired totals from exited threads plus this thread's live counters:
   // thread-inclusive accounting (see LpCounters in lp.h).
-  LpCounters c;
-  c.solves = g_retired_solves.load(std::memory_order_relaxed) + t_lp.solves;
-  c.iterations =
-      g_retired_iterations.load(std::memory_order_relaxed) + t_lp.iterations;
-  c.warm_solves =
-      g_retired_warm_solves.load(std::memory_order_relaxed) + t_lp.warm_solves;
-  c.columns_priced = g_retired_columns_priced.load(std::memory_order_relaxed) +
-                     t_lp.columns_priced;
-  c.candidate_refills =
-      g_retired_candidate_refills.load(std::memory_order_relaxed) +
-      t_lp.candidate_refills;
+  LpCounters c = t_lp;
+  for (std::size_t i = 0; i < kNumLpCounters; ++i)
+    c.*kLpCounterFields[i].member +=
+        g_retired[i].load(std::memory_order_relaxed);
   return c;
 }
 

@@ -11,9 +11,14 @@
 // pairs on output.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -66,6 +71,44 @@ class Json {
   const Json* find(const std::string& key) const;
   const std::vector<std::pair<std::string, Json>>& members() const {
     return obj_;
+  }
+
+  /// Lenient reads of optional members: `dflt` (or "") when the key is
+  /// absent or holds another kind.
+  double num_or(const std::string& key, double dflt = 0.0) const {
+    const Json* v = find(key);
+    return v ? v->as_num(dflt) : dflt;
+  }
+  std::string str_or(const std::string& key) const {
+    const Json* v = find(key);
+    return v ? v->str_ : std::string();
+  }
+
+  /// The checked integer read (a static_cast of an out-of-range double is
+  /// undefined behaviour).  Absent key: *out untouched.  A whole number in
+  /// T's range, or a decimal string that parses to a T (integers past 2^53
+  /// travel as strings), is stored; anything else returns false.
+  template <typename T>
+  bool read_int(const std::string& key, T* out) const {
+    static_assert(std::is_integral_v<T>, "read_int reads integer types");
+    const Json* v = find(key);
+    if (!v) return true;
+    if (v->kind_ == Kind::kString) {
+      const char* end = v->str_.data() + v->str_.size();
+      T n{};
+      const auto [stop, ec] = std::from_chars(v->str_.data(), end, n);
+      if (ec != std::errc() || stop != end) return false;
+      *out = n;
+      return true;
+    }
+    // T's range as the half-open [lo, 2^digits): both ends are exact doubles.
+    const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double lo = std::is_signed_v<T> ? -hi : 0.0;
+    const double x = v->num_;
+    if (v->kind_ != Kind::kNumber || !(x >= lo && x < hi) || std::trunc(x) != x)
+      return false;
+    *out = static_cast<T>(x);
+    return true;
   }
 
   /// Serializes; indent > 0 pretty-prints with that many spaces per level.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "solver/lp.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -95,10 +94,7 @@ StageTimes& StageTimes::operator+=(const StageTimes& o) {
   analyze_seconds += o.analyze_seconds;
   subspace_seconds += o.subspace_seconds;
   explain_seconds += o.explain_seconds;
-  lp_solves += o.lp_solves;
-  lp_iterations += o.lp_iterations;
-  lp_columns_priced += o.lp_columns_priced;
-  lp_candidate_refills += o.lp_candidate_refills;
+  lp += o.lp;
   return *this;
 }
 
@@ -135,15 +131,10 @@ PipelineResult run_pipeline(const analyzer::GapEvaluator& eval,
     }
     out.stages.explain_seconds = stage.seconds();
   }
-  const solver::LpCounters lp1 = solver::lp_counters();
-  out.stages.lp_solves = lp1.solves - lp0.solves;
-  out.stages.lp_iterations = lp1.iterations - lp0.iterations;
-  out.stages.lp_columns_priced = lp1.columns_priced - lp0.columns_priced;
-  out.stages.lp_candidate_refills =
-      lp1.candidate_refills - lp0.candidate_refills;
+  out.stages.lp = solver::lp_counters() - lp0;
   out.wall_seconds = timer.seconds();
   XPLAIN_INFO << "pipeline: " << out.subspaces.size() << " subspaces in "
-              << out.wall_seconds << "s (" << out.stages.lp_solves
+              << out.wall_seconds << "s (" << out.stages.lp.solves
               << " LP solves)";
   return out;
 }

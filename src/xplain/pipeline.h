@@ -23,6 +23,7 @@
 
 #include "explain/explainer.h"
 #include "explain/heatmap.h"
+#include "solver/lp.h"
 #include "subspace/subspace_generator.h"
 #include "xplain/case.h"
 
@@ -49,18 +50,16 @@ struct PipelineOptions {
 };
 
 /// Per-stage wall-clock breakdown of one pipeline run, plus the LP solver
-/// work the run triggered (from solver::lp_counters deltas; the counters
-/// are thread-inclusive, so per-instance attribution is exact even with
-/// several engine workers — see LpCounters in solver/lp.h).
+/// work the run triggered: `lp` is the solver::lp_counters delta across
+/// the analyze, subspace and explain stages, every LpCounters field.  The
+/// counters are thread-inclusive, so per-instance attribution is exact
+/// even with several engine workers (see LpCounters in solver/lp.h).
 struct StageTimes {
   double compile_seconds = 0.0;   // case -> evaluator/analyzer/oracle
   double analyze_seconds = 0.0;   // inside HeuristicAnalyzer::find_adversarial
   double subspace_seconds = 0.0;  // expansion + tree + significance
   double explain_seconds = 0.0;   // Type-2 sampling
-  long lp_solves = 0;             // LP relaxations solved during the run
-  long lp_iterations = 0;         // simplex pivots across those solves
-  long lp_columns_priced = 0;     // reduced costs evaluated by pricing
-  long lp_candidate_refills = 0;  // partial-pricing bucket refills
+  solver::LpCounters lp;
 
   double total() const {
     return compile_seconds + analyze_seconds + subspace_seconds +

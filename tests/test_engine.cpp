@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -230,7 +232,7 @@ TEST(Engine, GridIsBitwiseDeterministicAcrossWorkerCounts) {
 }
 
 TEST(Engine, PerJobLpCountersAreExactUnderConcurrentWorkers) {
-  // Per-job lp_solves / lp_iterations come from thread-inclusive counter
+  // Per-job LP counters come from thread-inclusive counter
   // deltas (solver::lp_counters): with one worker per job slot they must be
   // identical to the sequential run — no bleed between concurrent jobs —
   // and nonzero for any job that actually solved LPs.
@@ -243,38 +245,20 @@ TEST(Engine, PerJobLpCountersAreExactUnderConcurrentWorkers) {
   const auto parallel4 = Engine().run(spec).summary();
 
   ASSERT_EQ(sequential.jobs.size(), parallel4.jobs.size());
-  long total_solves = 0;
-  long total_priced = 0;
+  solver::LpCounters sequential_total;
+  solver::LpCounters parallel_total;
   for (std::size_t i = 0; i < sequential.jobs.size(); ++i) {
-    EXPECT_EQ(sequential.jobs[i].lp_solves, parallel4.jobs[i].lp_solves)
-        << "job " << i;
-    EXPECT_EQ(sequential.jobs[i].lp_iterations,
-              parallel4.jobs[i].lp_iterations)
-        << "job " << i;
-    EXPECT_EQ(sequential.jobs[i].lp_columns_priced,
-              parallel4.jobs[i].lp_columns_priced)
-        << "job " << i;
-    EXPECT_EQ(sequential.jobs[i].lp_candidate_refills,
-              parallel4.jobs[i].lp_candidate_refills)
-        << "job " << i;
-    total_solves += sequential.jobs[i].lp_solves;
-    total_priced += sequential.jobs[i].lp_columns_priced;
+    EXPECT_EQ(sequential.jobs[i].lp, parallel4.jobs[i].lp) << "job " << i;
+    sequential_total += sequential.jobs[i].lp;
+    parallel_total += parallel4.jobs[i].lp;
   }
-  EXPECT_GT(total_solves, 0);
+  EXPECT_GT(sequential_total.solves, 0);
   // Any pivot prices at least one column, so the pricing tally is live.
-  EXPECT_GT(total_priced, 0);
-  // The experiment-level snapshot equals the per-job sum: nothing leaked
-  // into (or out of) the job windows.
-  EXPECT_EQ(sequential.lp_solves, total_solves);
-  EXPECT_EQ(sequential.lp_columns_priced, total_priced);
-  long parallel_total = 0;
-  long parallel_priced = 0;
-  for (const auto& j : parallel4.jobs) {
-    parallel_total += j.lp_solves;
-    parallel_priced += j.lp_columns_priced;
-  }
-  EXPECT_EQ(parallel4.lp_solves, parallel_total);
-  EXPECT_EQ(parallel4.lp_columns_priced, parallel_priced);
+  EXPECT_GT(sequential_total.columns_priced, 0);
+  // The experiment-level total is the per-job sum, every digest counter.
+  EXPECT_EQ(sequential.lp, sequential_total);
+  EXPECT_EQ(parallel4.lp, parallel_total);
+  EXPECT_EQ(parallel4.lp, sequential.lp);
 }
 
 TEST(Engine, StreamsEveryJobThroughTheCallback) {
@@ -422,10 +406,10 @@ TEST(Engine, ExperimentSummaryJsonRoundTripsExactly) {
   j.max_seed_gap = 66.04357334190792;
   j.gap_scale = 100.0;
   j.wall_seconds = 0.123456789123456789;
-  j.lp_solves = 12345;
-  j.lp_iterations = 987654321;
-  j.lp_columns_priced = 31415926535;
-  j.lp_candidate_refills = 271828;
+  j.lp.solves = 12345;
+  j.lp.iterations = 987654321;
+  j.lp.columns_priced = 31415926535;
+  j.lp.candidate_refills = 271828;
   j.features = {{"num_commodities", 8.0}, {"skew_span", 0.75}};
   s.jobs.push_back(j);
   JobSummary bad;
@@ -444,10 +428,10 @@ TEST(Engine, ExperimentSummaryJsonRoundTripsExactly) {
   s.trends.push_back(t);
   s.observations = 12;
   s.wall_seconds = 7.739930840000001;
-  s.lp_solves = 112202;
-  s.lp_iterations = 713712;
-  s.lp_columns_priced = 8675309;
-  s.lp_candidate_refills = 424242;
+  s.lp.solves = 112202;
+  s.lp.iterations = 713712;
+  s.lp.columns_priced = 8675309;
+  s.lp.candidate_refills = 424242;
 
   const std::string json = s.to_json();
   const auto parsed = ExperimentSummary::from_json(json);
@@ -455,6 +439,59 @@ TEST(Engine, ExperimentSummaryJsonRoundTripsExactly) {
   EXPECT_TRUE(s == *parsed);
   // And the serialization itself is stable under a round trip.
   EXPECT_EQ(json, parsed->to_json());
+
+  // The digest is a wire format (the server caches and journals it, and
+  // its byte size drives cache eviction): these bytes are pinned.
+  const std::string job_golden =
+      R"({"case":"wcmp","scenario":"fat_tree_k4_s1","index":0,"ok":true,)"
+      R"("subspaces":2,"significant":1,"best_gap_found":0.3333333333333333,)"
+      R"("max_seed_gap":66.04357334190792,"gap_scale":100,)"
+      R"("wall_seconds":0.12345678912345678,"lp_solves":12345,)"
+      R"("lp_iterations":987654321,"lp_columns_priced":31415926535,)"
+      R"("lp_candidate_refills":271828,"seed":"0","options_fingerprint":"",)"
+      R"("features":{"num_commodities":8,"skew_span":0.75}})";
+  EXPECT_EQ(s.jobs[0].to_json_value().dump(0), job_golden);
+  EXPECT_EQ(
+      s.to_json(0),
+      R"({"jobs":[)" + job_golden +
+          R"(,{"case":"odd \"name\"\nwith newline","scenario":null,)"
+          R"("index":1,"ok":false,"error":"case cannot build from a )"
+          R"j(scenario (default-only registration)","subspaces":0,)j"
+          R"("significant":0,"best_gap_found":0,"max_seed_gap":0,)"
+          R"("gap_scale":1,"wall_seconds":0,"lp_solves":0,"lp_iterations":0,)"
+          R"("lp_columns_priced":0,"lp_candidate_refills":0,"seed":"0",)"
+          R"("options_fingerprint":"","features":{}}],"trends":[)"
+          R"j({"predicate":"increasing(pinned_sp_hops)",)j"
+          R"("feature":"pinned_sp_hops","trend":"increasing",)"
+          R"("rho":0.9784922871473329,"p_value":1.7481490558e-08,)"
+          R"("support":12}],"observations":12,)"
+          R"("wall_seconds":7.739930840000001,"lp_solves":112202,)"
+          R"("lp_iterations":713712,"lp_columns_priced":8675309,)"
+          R"("lp_candidate_refills":424242})");
+
+  // warm_solves is not a digest counter: not written, not compared.
+  JobSummary warm = j;
+  warm.lp.warm_solves = 7;
+  EXPECT_EQ(warm.to_json_value().dump(0), job_golden);
+  EXPECT_TRUE(warm == j);
+}
+
+TEST(Engine, JobSummaryParserRejectsOutOfRangeIntegers) {
+  // from_json_value reads journal lines on every cache hit: an integer
+  // field holding a fraction or a value outside its type is malformed
+  // input (std::nullopt, which the cache self-heals), never a cast.
+  const auto parse = [](const std::string& text) {
+    const auto v = util::Json::parse(text);
+    return v ? JobSummary::from_json_value(*v) : std::nullopt;
+  };
+  EXPECT_TRUE(parse(R"({"case":"x","index":1})").has_value());
+  EXPECT_FALSE(parse(R"({"case":"x","index":1e300})").has_value());
+  EXPECT_FALSE(parse(R"({"case":"x","index":1.5})").has_value());
+  EXPECT_FALSE(parse(R"({"case":"x","subspaces":-3e9})").has_value());
+  EXPECT_FALSE(parse(R"({"case":"x","lp_solves":1e19})").has_value());
+  EXPECT_FALSE(ExperimentSummary::from_json(
+                   R"({"jobs":[],"trends":[],"observations":1e300})")
+                   .has_value());
 }
 
 TEST(Engine, RealExperimentJsonRoundTrips) {
@@ -482,6 +519,48 @@ TEST(UtilJson, NumbersRoundTripIncludingExtremes) {
   EXPECT_EQ(util::Json(std::numeric_limits<double>::infinity()).dump(), "null");
   EXPECT_FALSE(util::Json::parse("inf").has_value());
   EXPECT_FALSE(util::Json::parse("nan").has_value());
+}
+
+TEST(UtilJson, ReadIntAcceptsOnlyWholeNumbersInRange) {
+  using util::Json;
+  // read_int of {"v": value} into a T: the value read, or nullopt when
+  // rejected.
+  const auto read = [](Json value, auto out) {
+    Json obj = Json::object();
+    obj.set("v", std::move(value));
+    return obj.read_int("v", &out) ? std::optional(out) : std::nullopt;
+  };
+  EXPECT_EQ(read(42, 0), 42);
+  EXPECT_EQ(read(-0.0, 7), 0);
+  EXPECT_EQ(read(2147483647.0, 0), 2147483647);
+  EXPECT_EQ(read(-2147483648.0, 0), -2147483647 - 1);
+  EXPECT_FALSE(read(2147483648.0, 0));
+  EXPECT_FALSE(read(-2147483649.0, 0));
+  EXPECT_FALSE(read(1e300, 0));
+  EXPECT_FALSE(read(0.5, 0));
+  EXPECT_FALSE(read(std::numeric_limits<double>::infinity(), 0L));
+  EXPECT_FALSE(read(std::nan(""), 0L));
+  EXPECT_FALSE(read(true, 0));
+  EXPECT_FALSE(read(Json(), 0));
+  // Decimal strings carry integers past 2^53 exactly; nothing else in a
+  // string is an integer.
+  EXPECT_EQ(read("18446744073709551615", std::uint64_t{0}),
+            std::uint64_t{18446744073709551615ull});
+  EXPECT_EQ(read("-12", 0), -12);
+  EXPECT_FALSE(read("18446744073709551616", std::uint64_t{0}));
+  EXPECT_FALSE(read("-1", std::uint64_t{0}));
+  EXPECT_FALSE(read("", 0));
+  EXPECT_FALSE(read(" 7", 0));
+  EXPECT_FALSE(read("7x", 0));
+  EXPECT_FALSE(read(-1.0, std::uint64_t{0}));
+  // 2^64 is an exact double, one past uint64's range.
+  EXPECT_FALSE(read(18446744073709551616.0, std::uint64_t{0}));
+  EXPECT_EQ(read(9007199254740992.0, std::uint64_t{0}),
+            std::uint64_t{9007199254740992});
+  // An absent key leaves the target alone.
+  int untouched = 5;
+  EXPECT_TRUE(Json::object().read_int("v", &untouched));
+  EXPECT_EQ(untouched, 5);
 }
 
 TEST(UtilJson, ParseRejectsMalformedDocuments) {

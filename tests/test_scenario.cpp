@@ -237,6 +237,15 @@ TEST(Scenario, SpecJsonRoundTripsByteForByte) {
                                   &err);
   EXPECT_FALSE(bad.has_value());
   EXPECT_NE(err.find("torus"), std::string::npos);
+  // So are integer fields that are fractional or out of range (these were
+  // float-to-int casts: "size":1e300 built a line of INT_MIN nodes).
+  for (const char* text : {R"({"kind":"line","size":1e300})",
+                           R"({"kind":"line","failed_links":1.5})",
+                           R"({"kind":"line","seed":-1})"}) {
+    EXPECT_FALSE(spec_from_json(*util::Json::parse(text), &err).has_value())
+        << text;
+    EXPECT_NE(err.find("must be a whole number"), std::string::npos) << text;
+  }
 }
 
 TEST(Scenario, DefaultCorpusCoversAllShapes) {

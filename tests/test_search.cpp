@@ -174,6 +174,13 @@ TEST(Archive, CanonicalOrderAndByteForByteJson) {
   ASSERT_TRUE(back.has_value()) << err;
   EXPECT_EQ(back->to_json(), once);
   EXPECT_FALSE(Archive::from_json("{\"discoveries\":3}").has_value());
+  // An out-of-range generation is malformed input, not a cast.
+  EXPECT_FALSE(Archive::from_json(
+                   R"({"discoveries":[{"case":"wcmp","scenario":{},)"
+                   R"("generation":1e300}]})",
+                   &err)
+                   .has_value());
+  EXPECT_NE(err.find("generation"), std::string::npos) << err;
 }
 
 TEST(Fuzzer, TinyBudgetFindsTheFatTreeWcmpGap) {

@@ -164,7 +164,7 @@ TEST(ResultCache, MissFulfillHitReplaysTheExactJson) {
   s.best_gap_found = 0.3251;
   s.gap_scale = 2.0;
   s.wall_seconds = 1.25;
-  s.lp_solves = 17;
+  s.lp.solves = 17;
   s.features["pinned_sp_hops"] = 3.0;
   s.seed = 0xFEEDFACECAFEBEEFull;  // above 2^53: exercises the string path
   s.options_fingerprint = "pf1:deadbeef";
@@ -595,8 +595,8 @@ TEST(Service, MatchesEngineBitwiseForAnyPoolSize) {
     EXPECT_TRUE(got == reference) << "pool " << pool;
     EXPECT_EQ(got.trends.size(), reference.trends.size());
     EXPECT_EQ(got.observations, reference.observations);
-    EXPECT_EQ(got.lp_solves, reference.lp_solves);
-    EXPECT_EQ(got.lp_iterations, reference.lp_iterations);
+    EXPECT_EQ(got.lp.solves, reference.lp.solves);
+    EXPECT_EQ(got.lp.iterations, reference.lp.iterations);
   }
 }
 
@@ -788,6 +788,82 @@ TEST(Service, ShutdownIsIdempotentAndTerminal) {
   EXPECT_EQ(svc.submit(spec), Service::kRejected);
   EXPECT_TRUE(svc.run(spec).jobs.empty());
   // The destructor's shutdown() is then also a no-op.
+}
+
+namespace {
+
+// Runs `input` through the xplaind request loop in process and returns the
+// events it wrote, parsed.
+std::vector<util::Json> serve_lines(Service& svc, const std::string& input) {
+  std::istringstream in(input);
+  std::ostringstream out;
+  server::serve(svc, in, out);
+  std::vector<util::Json> events;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    auto e = util::Json::parse(line);
+    EXPECT_TRUE(e.has_value()) << line;
+    if (e) events.push_back(std::move(*e));
+  }
+  return events;
+}
+
+std::string event_kind(const util::Json& e) {
+  const util::Json* kind = e.find("event");
+  return kind ? kind->as_str() : std::string();
+}
+
+}  // namespace
+
+TEST(Service, ProtocolRejectsOutOfRangeIntegersBeforeEnqueueing) {
+  // "samples":1e300 once ran (cast to INT_MIN) and was cached as ok, and a
+  // negative seed was a float-to-unsigned cast: both are now an error event
+  // naming the field, and nothing is enqueued or cached.
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  const std::string spec_head =
+      R"({"op":"submit","id":1,"spec":{"cases":["first_fit"],)"
+      R"("scenarios":[{"kind":"line","size":3}],)";
+  const auto events = serve_lines(
+      svc, spec_head + R"("options":{"explain":{"samples":1e300}}}})" "\n" +
+               spec_head + R"("seed":-1}})" "\n" + spec_head +
+               R"("options":{"subspace":{"max_subspaces":2.5}}}})" "\n"
+               R"({"op":"stats"})" "\n");
+  ASSERT_EQ(events.size(), 4u);
+  const char* fields[] = {"samples", "seed", "max_subspaces"};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(event_kind(events[i]), "error");
+    const util::Json* msg = events[i].find("message");
+    ASSERT_NE(msg, nullptr);
+    EXPECT_NE(msg->as_str().find(std::string("\"") + fields[i] + "\""),
+              std::string::npos)
+        << msg->as_str();
+  }
+  EXPECT_EQ(event_kind(events[3]), "stats");
+  EXPECT_EQ(events[3].find("jobs_submitted")->as_str(), "0");
+  EXPECT_EQ(events[3].find("cache_entries")->as_str(), "0");
+}
+
+TEST(Service, ProtocolDiscardsOverlongLineThenServesStats) {
+  // A 2 MiB line is dropped as it streams in and answered with one error
+  // event; the next request is served normally.
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  const auto events = serve_lines(
+      svc, std::string(2 * server::kMaxRequestBytes, ' ') + "\n" +
+               R"({"op":"stats"})" "\n");
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(event_kind(events[0]), "error");
+  EXPECT_EQ(event_kind(events[1]), "stats");
+  // A line of exactly the limit is still read whole (here: malformed JSON,
+  // so a parse error — not the size error).
+  const auto at_limit = serve_lines(
+      svc, std::string(server::kMaxRequestBytes, 'x') + "\n");
+  ASSERT_EQ(at_limit.size(), 1u);
+  EXPECT_NE(at_limit[0].find("message")->as_str().find("malformed"),
+            std::string::npos);
 }
 
 TEST(Service, ProtocolAnswersHostileNestingThenServesStats) {

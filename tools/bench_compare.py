@@ -128,13 +128,9 @@ def main():
 
     name = fresh.get("bench", "?")
     print(f"bench_compare: {name}")
-    for key in (
-        "lp_solves",
-        "lp_iterations",
-        "lp_warm_solves",
-        "lp_columns_priced",
-        "lp_candidate_refills",
-    ):
+    # Every LP counter the report carries (BenchReport writes one lp_* key
+    # per solver::kLpCounterFields entry), in report order.
+    for key in [k for k in fresh if k.startswith("lp_")]:
         f, b = fresh.get(key), base.get(key)
         if f is None or b is None:
             continue

@@ -41,21 +41,14 @@ void BenchReport::write() {
   if (impl_->written) return;
   impl_->written = true;
   const double wall = impl_->timer.seconds();
-  const solver::LpCounters end = solver::lp_counters();
+  const solver::LpCounters lp = solver::lp_counters() - impl_->start;
   std::ostringstream os;
   os.precision(9);
   os << "{\n"
      << "  \"bench\": \"" << impl_->name << "\",\n"
-     << "  \"wall_seconds\": " << wall << ",\n"
-     << "  \"lp_solves\": " << end.solves - impl_->start.solves << ",\n"
-     << "  \"lp_iterations\": " << end.iterations - impl_->start.iterations
-     << ",\n"
-     << "  \"lp_warm_solves\": "
-     << end.warm_solves - impl_->start.warm_solves << ",\n"
-     << "  \"lp_columns_priced\": "
-     << end.columns_priced - impl_->start.columns_priced << ",\n"
-     << "  \"lp_candidate_refills\": "
-     << end.candidate_refills - impl_->start.candidate_refills;
+     << "  \"wall_seconds\": " << wall;
+  for (const solver::LpCounterField& f : solver::kLpCounterFields)
+    os << ",\n  \"" << f.key << "\": " << lp.*f.member;
   for (const auto& [k, v] : impl_->extra) os << ",\n  \"" << k << "\": " << v;
   for (const auto& [k, v] : impl_->raw) os << ",\n  \"" << k << "\": " << v;
   os << "\n}\n";

@@ -2,9 +2,10 @@
 //
 // Every bench_* binary declares one BenchReport at the top of main(); on
 // destruction it writes BENCH_<name>.json next to the working directory
-// with the end-to-end wall time and the LP solver work (solves, simplex
-// iterations, warm-started solves) the run triggered.  CI uploads these as
-// artifacts, giving the repo a perf trajectory instead of eyeballed logs.
+// with the end-to-end wall time and the LP solver work the run triggered:
+// one key per solver::kLpCounterFields entry (lp_solves, lp_iterations,
+// ...).  CI uploads these as artifacts, giving the repo a perf trajectory
+// instead of eyeballed logs.
 #pragma once
 
 #include <string>
