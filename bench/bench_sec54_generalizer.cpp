@@ -15,6 +15,7 @@
 #include "bench_json.h"
 #include "cases/dp_case.h"
 #include "engine/engine.h"
+#include "generalize/instance_generator.h"
 #include "util/csv.h"
 #include "util/table.h"
 

@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "explain/heatmap.h"
 #include "generalize/generalizer.h"
+#include "generalize/instance_generator.h"
 #include "xplain/pipeline.h"
 
 int main() {

@@ -1,51 +1,16 @@
 #include "cases/dp_case.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 
+#include "cases/thread_solver.h"
 #include "generalize/features.h"
 #include "generalize/instance_generator.h"
 #include "scenario/scenario.h"
 #include "te/maxflow.h"
 
 namespace xplain::cases {
-
-namespace {
-
-/// Per-thread max-flow structure cache for the dp_gap sampling hot loop.
-///
-/// A gap() call solves two max-flow LPs on the SAME instance (the residual
-/// flow inside run_demand_pinning and the OPT benchmark); with thousands of
-/// samples per pipeline stage, rebuilding the LpProblem per call was pure
-/// front-end overhead (the PR 3 headroom note in ROADMAP.md).  Each thread
-/// keeps one MaxFlowSolver per live evaluator identity: structure is built
-/// once, every sample's solves just move column bounds and warm-start from
-/// the solver's fixed reference basis.  Keyed by a process-unique id rather
-/// than the evaluator pointer so a recycled allocation can never alias a
-/// dead evaluator's cache entry; the single slot is enough because sampling
-/// stages drive one evaluator at a time.  Determinism: the reference-basis
-/// warm start makes every solve a pure function of its inputs, so worker
-/// count and sample order never change results (test_parallel_determinism).
-std::uint64_t next_evaluator_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  // Relaxed: ids only need uniqueness, not ordering against other memory.
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-te::MaxFlowSolver& thread_max_flow_solver(std::uint64_t id,
-                                          const te::TeInstance& inst) {
-  thread_local std::uint64_t cached_id = 0;
-  thread_local std::unique_ptr<te::MaxFlowSolver> solver;
-  if (cached_id != id) {
-    solver = std::make_unique<te::MaxFlowSolver>(inst);
-    cached_id = id;
-  }
-  return *solver;
-}
-
-}  // namespace
 
 DpGapEvaluator::DpGapEvaluator(te::TeInstance inst, te::DpConfig cfg,
                                double quantum)
@@ -65,7 +30,7 @@ analyzer::Box DpGapEvaluator::input_box() const {
 
 double DpGapEvaluator::gap(const std::vector<double>& x) const {
   return te::dp_gap(inst_, cfg_, x,
-                    &thread_max_flow_solver(cache_id_, inst_));
+                    &thread_solver<te::MaxFlowSolver>(cache_id_, inst_));
 }
 
 std::vector<double> DpGapEvaluator::quantize(
@@ -84,7 +49,7 @@ std::vector<std::string> DpGapEvaluator::dim_names() const {
   return names;
 }
 
-explain::FlowOracle make_dp_oracle(const te::DpNetwork& dp,
+explain::FlowOracle make_dp_oracle(const te::PathNetwork& dp,
                                    const te::TeInstance& inst,
                                    const te::DpConfig& cfg) {
   return [&dp, &inst, cfg](const std::vector<double>& x,
@@ -94,8 +59,8 @@ explain::FlowOracle make_dp_oracle(const te::DpNetwork& dp,
     if (!heur.feasible) return false;
     auto opt = te::solve_max_flow(inst, x);
     if (!opt.feasible) return false;
-    hflow = te::dp_network_flows(dp, inst, x, heur.flow);
-    bflow = te::dp_network_flows(dp, inst, x, opt.flow);
+    hflow = te::path_network_flows(dp, inst.topo, inst.pairs, x, heur.flow);
+    bflow = te::path_network_flows(dp, inst.topo, inst.pairs, x, opt.flow);
     return true;
   };
 }

@@ -39,14 +39,14 @@ class DpGapEvaluator : public analyzer::GapEvaluator {
   te::TeInstance inst_;
   te::DpConfig cfg_;
   double quantum_;
-  /// Identity for the per-thread max-flow structure cache (see dp_case.cpp).
+  /// Identity for the per-thread max-flow solver cache (thread_solver.h).
   std::uint64_t cache_id_ = 0;
 };
 
 /// DP oracle: heuristic = demand-pinning simulation, benchmark = optimal
 /// max-flow, both mapped onto the Fig. 4a network's edges.  The referenced
 /// network and instance must outlive the oracle.
-explain::FlowOracle make_dp_oracle(const te::DpNetwork& dp,
+explain::FlowOracle make_dp_oracle(const te::PathNetwork& dp,
                                    const te::TeInstance& inst,
                                    const te::DpConfig& cfg);
 
@@ -87,13 +87,13 @@ class DpCase : public HeuristicCase {
 
   const te::TeInstance& instance() const { return inst_; }
   const te::DpConfig& config() const { return cfg_; }
-  const te::DpNetwork& dp_network() const { return dpnet_; }
+  const te::PathNetwork& dp_network() const { return dpnet_; }
 
  private:
   te::TeInstance inst_;
   te::DpConfig cfg_;
   double quantum_;
-  te::DpNetwork dpnet_;
+  te::PathNetwork dpnet_;
 };
 
 }  // namespace xplain::cases

@@ -1,49 +1,22 @@
 #include "cases/lb_case.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 
 #include "analyzer/search_analyzer.h"
+#include "cases/thread_solver.h"
 #include "generalize/features.h"
 #include "scenario/scenario.h"
 
 namespace xplain::cases {
-
-namespace {
-
-/// Per-thread optimal-routing structure cache for the lb_gap sampling hot
-/// loop — the LB twin of dp_case.cpp's MaxFlowSolver cache.  One
-/// LbOptimalSolver per (thread, live evaluator identity): the optimal
-/// LP's structure is built once, each sample only moves row rhs and
-/// warm-starts from the solver's fixed reference basis, so results stay a
-/// pure function of the input (parallel determinism holds).
-std::uint64_t next_lb_evaluator_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  // Relaxed: ids only need uniqueness, not ordering against other memory.
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-lb::LbOptimalSolver& thread_lb_solver(std::uint64_t id,
-                                      const lb::LbInstance& inst) {
-  thread_local std::uint64_t cached_id = 0;
-  thread_local std::unique_ptr<lb::LbOptimalSolver> solver;
-  if (cached_id != id) {
-    solver = std::make_unique<lb::LbOptimalSolver>(inst);
-    cached_id = id;
-  }
-  return *solver;
-}
-
-}  // namespace
 
 LbGapEvaluator::LbGapEvaluator(lb::LbInstance inst, double rate_quantum,
                                double skew_quantum)
     : inst_(std::move(inst)),
       rate_quantum_(rate_quantum),
       skew_quantum_(skew_quantum),
-      cache_id_(next_lb_evaluator_id()) {}
+      cache_id_(next_evaluator_id()) {}
 
 int LbGapEvaluator::dim() const { return inst_.input_dim(); }
 
@@ -59,7 +32,8 @@ analyzer::Box LbGapEvaluator::input_box() const {
 }
 
 double LbGapEvaluator::gap(const std::vector<double>& x) const {
-  return lb::lb_gap_cached(inst_, x, thread_lb_solver(cache_id_, inst_));
+  auto& opt = thread_solver<lb::LbOptimalSolver>(cache_id_, inst_);
+  return lb::lb_gap_cached(inst_, x, opt);
 }
 
 std::vector<double> LbGapEvaluator::quantize(
@@ -84,7 +58,7 @@ std::vector<std::string> LbGapEvaluator::dim_names() const {
   return names;
 }
 
-explain::FlowOracle make_lb_oracle(const lb::LbNetwork& lbn,
+explain::FlowOracle make_lb_oracle(const te::PathNetwork& lbn,
                                    const lb::LbInstance& inst) {
   return [&lbn, &inst](const std::vector<double>& x,
                        std::vector<double>& hflow,
@@ -92,8 +66,10 @@ explain::FlowOracle make_lb_oracle(const lb::LbNetwork& lbn,
     auto heur = lb::wcmp_split(inst, x);
     auto opt = lb::solve_lb_optimal(inst, x);
     if (!opt.feasible) return false;
-    hflow = lb::lb_network_flows(lbn, inst, x, heur.flow);
-    bflow = lb::lb_network_flows(lbn, inst, x, opt.flow);
+    hflow = te::path_network_flows(lbn, inst.topo, inst.commodities, x,
+                                   heur.flow);
+    bflow = te::path_network_flows(lbn, inst.topo, inst.commodities, x,
+                                   opt.flow);
     return true;
   };
 }
@@ -101,7 +77,10 @@ explain::FlowOracle make_lb_oracle(const lb::LbNetwork& lbn,
 LbCase::LbCase(lb::LbInstance inst, double rate_quantum)
     : inst_(std::move(inst)),
       rate_quantum_(rate_quantum),
-      lbnet_(lb::build_lb_network(inst_)) {}
+      lbnet_(te::build_path_network(inst_.topo, inst_.commodities,
+                                    inst_.t_max, lb::kNetworkLabels)) {
+  lb::mark_skewed_links(lbnet_, inst_);
+}
 
 std::shared_ptr<LbCase> LbCase::fat_tree4() {
   scenario::ScenarioSpec spec;

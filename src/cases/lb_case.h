@@ -5,8 +5,9 @@
 // The analyzer input is per-commodity traffic rates plus a capacity-skew
 // dimension (lb::LbInstance): the subspace generator can localize WCMP's
 // underperformance jointly in "how much traffic" and "how squeezed the
-// core tier is".  The benchmark is the optimal splittable routing solved
-// through the model layer.
+// core tier is".  The benchmark is the optimal splittable routing: te's
+// path-flow LP on the gap path (lb::LbOptimalSolver), and the model-layer
+// encoding (lb::solve_lb_optimal) in the Type-2 oracle.
 //
 // Registered in the CaseRegistry as "wcmp" with a fat-tree(4) scenario
 // (8 inter-rack commodities, core uplinks skewed over [0.25, 1]).
@@ -18,9 +19,9 @@
 
 #include "analyzer/evaluator.h"
 #include "lb/network.h"
-#include "scenario/spec.h"
 #include "lb/optimal.h"
 #include "lb/wcmp.h"
+#include "scenario/spec.h"
 #include "xplain/case.h"
 
 namespace xplain::cases {
@@ -44,15 +45,15 @@ class LbGapEvaluator : public analyzer::GapEvaluator {
   lb::LbInstance inst_;
   double rate_quantum_;
   double skew_quantum_;
-  /// Identity for the per-thread optimal-routing structure cache (see
-  /// lb_case.cpp; same scheme as DpGapEvaluator's max-flow cache).
+  /// Identity for the per-thread optimal-routing solver cache
+  /// (thread_solver.h).
   std::uint64_t cache_id_ = 0;
 };
 
 /// LB oracle: heuristic = WCMP split, benchmark = optimal splittable
 /// routing, both mapped onto the LB network's edges.  The referenced
 /// network and instance must outlive the oracle.
-explain::FlowOracle make_lb_oracle(const lb::LbNetwork& lbn,
+explain::FlowOracle make_lb_oracle(const te::PathNetwork& lbn,
                                    const lb::LbInstance& inst);
 
 class LbCase : public HeuristicCase {
@@ -84,12 +85,12 @@ class LbCase : public HeuristicCase {
   double gap_scale() const override { return inst_.t_max; }
 
   const lb::LbInstance& instance() const { return inst_; }
-  const lb::LbNetwork& lb_network() const { return lbnet_; }
+  const te::PathNetwork& lb_network() const { return lbnet_; }
 
  private:
   lb::LbInstance inst_;
   double rate_quantum_;
-  lb::LbNetwork lbnet_;
+  te::PathNetwork lbnet_;
 };
 
 }  // namespace xplain::cases

@@ -23,7 +23,7 @@
 //     does not);
 //   * the batch is piped into generalize::generalize_batch automatically —
 //     Type-3 trends fall out of every multi-instance experiment without a
-//     bespoke per-domain CaseFactory adapter.
+//     bespoke per-domain adapter.
 //
 // ExperimentResult keeps the full per-job PipelineResults and carries a
 // JSON serialization (ExperimentSummary / to_json / from_json, built on

@@ -1,46 +1,20 @@
-// The generalizer (paper §5.4): runs the analyzer over many generated
-// instances, collects (features, worst gap) observations, and mines the
-// predicate grammar for statistically significant instance-agnostic
-// explanations — the Type-3 output.
+// The generalizer (paper §5.4): turns pipeline runs over many instances
+// into (features, worst gap) observations and mines the predicate grammar
+// for statistically significant instance-agnostic explanations — the
+// Type-3 output.  Engine::run feeds it every finished grid.
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <vector>
 
-#include "analyzer/search_analyzer.h"
 #include "generalize/grammar.h"
-#include "generalize/instance_generator.h"
 #include "xplain/pipeline.h"
 
 namespace xplain::generalize {
-
-struct GeneralizerOptions {
-  int instances = 24;
-  double min_gap = 0.0;   // analyzer cutoff per instance (0: record any)
-  GrammarOptions grammar;
-  analyzer::SearchOptions search;
-  std::uint64_t seed = 31337;
-  /// Normalize gaps by d_max (DP) / 1 (VBP) so instances are comparable.
-  bool normalize_gap = true;
-};
 
 struct GeneralizerResult {
   std::vector<InstanceObservation> observations;
   std::vector<Predicate> predicates;
 };
-
-/// A generalization case: an evaluator plus the features describing the
-/// instance it wraps.
-struct Case {
-  std::unique_ptr<analyzer::GapEvaluator> eval;
-  FeatureMap features;
-  double gap_scale = 1.0;  // divide gaps by this when normalizing
-};
-
-using CaseFactory = std::function<Case(util::Rng&)>;
-
-GeneralizerResult generalize(const CaseFactory& factory,
-                             const GeneralizerOptions& opts = {});
 
 /// Type-3 over a batch of pipeline runs: every PipelineResult whose case
 /// published features() becomes one observation (the best analyzer gap,
@@ -51,13 +25,5 @@ GeneralizerResult generalize(const CaseFactory& factory,
 GeneralizerResult generalize_batch(
     const std::vector<xplain::PipelineResult>& results,
     const GrammarOptions& grammar = {}, bool normalize_gap = true);
-
-/// Prebuilt factories for the paper's two running examples (defined in the
-/// cases layer; link xplain_cases to use them).  These predate the engine:
-/// a scenario-capable registered case needs no bespoke factory — an
-/// ExperimentSpec grid feeds generalize_batch directly (which is why there
-/// is no lb_case_factory: "wcmp" sweeps arrive via Engine::run).
-CaseFactory dp_case_factory(DpInstanceGenerator gen = DpInstanceGenerator{});
-CaseFactory vbp_case_factory(VbpInstanceGenerator gen = VbpInstanceGenerator{});
 
 }  // namespace xplain::generalize

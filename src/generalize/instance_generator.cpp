@@ -32,24 +32,4 @@ te::TeInstance make_dp_family_instance(const DpFamilyParams& params) {
   return inst;
 }
 
-DpFamilyParams DpInstanceGenerator::next_params(util::Rng& rng) const {
-  DpFamilyParams p;
-  p.chain_len = rng.uniform_int(ranges_.chain_len_min, ranges_.chain_len_max);
-  p.main_capacity = rng.uniform(ranges_.main_cap_min, ranges_.main_cap_max);
-  p.detour_capacity =
-      rng.uniform(ranges_.detour_cap_min, ranges_.detour_cap_max);
-  p.threshold = 0.5 * p.main_capacity;
-  p.d_max = p.main_capacity;
-  return p;
-}
-
-vbp::VbpInstance VbpInstanceGenerator::next(util::Rng& rng) const {
-  vbp::VbpInstance inst;
-  inst.num_balls = rng.uniform_int(ranges_.balls_min, ranges_.balls_max);
-  inst.num_bins = inst.num_balls;
-  inst.dims = ranges_.dims;
-  inst.capacity = ranges_.capacity;
-  return inst;
-}
-
 }  // namespace xplain::generalize

@@ -1,6 +1,7 @@
-// Instance generator (paper §5.4 / Fig. 3): produces diverse problem
-// instances from the problem family description so the generalizer can find
-// trends across instances rather than within one.
+// Instance family (paper §5.4 / Fig. 3): the problem family description
+// the Type-3 sweeps draw instances from, so the generalizer can find trends
+// across instances rather than within one ("demand_pinning_chain" exposes
+// it to Engine grids).
 //
 // The DP family is a "chain with detour" generalization of Fig. 1a: a main
 // chain of `chain_len` hops carrying the pinnable end-to-end demand (its
@@ -10,9 +11,7 @@
 // paths and lower capacities hurt more).
 #pragma once
 
-#include "te/demand_pinning.h"
-#include "util/random.h"
-#include "vbp/instance.h"
+#include "te/demand.h"
 
 namespace xplain::generalize {
 
@@ -26,39 +25,5 @@ struct DpFamilyParams {
 
 /// Builds the chain-with-detour TE instance for the given parameters.
 te::TeInstance make_dp_family_instance(const DpFamilyParams& params);
-
-class DpInstanceGenerator {
- public:
-  struct Ranges {
-    int chain_len_min = 2, chain_len_max = 5;
-    double main_cap_min = 60, main_cap_max = 140;
-    double detour_cap_min = 30, detour_cap_max = 70;
-  };
-
-  DpInstanceGenerator() = default;
-  explicit DpInstanceGenerator(Ranges ranges) : ranges_(ranges) {}
-
-  DpFamilyParams next_params(util::Rng& rng) const;
-
- private:
-  Ranges ranges_{};
-};
-
-class VbpInstanceGenerator {
- public:
-  struct Ranges {
-    int balls_min = 3, balls_max = 9;
-    int dims = 1;
-    double capacity = 1.0;
-  };
-
-  VbpInstanceGenerator() = default;
-  explicit VbpInstanceGenerator(Ranges ranges) : ranges_(ranges) {}
-
-  vbp::VbpInstance next(util::Rng& rng) const;
-
- private:
-  Ranges ranges_{};
-};
 
 }  // namespace xplain::generalize

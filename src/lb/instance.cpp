@@ -22,8 +22,7 @@ std::vector<double> LbInstance::effective_capacities(double skew) const {
   std::vector<double> caps(topo.num_links());
   for (int l = 0; l < topo.num_links(); ++l) {
     const double base = topo.link(te::LinkId{l}).capacity;
-    const bool apply = l < static_cast<int>(skewed.size()) && skewed[l];
-    caps[l] = apply ? base * skew : base;
+    caps[l] = is_skewed(l) ? base * skew : base;
   }
   return caps;
 }
@@ -33,14 +32,7 @@ LbInstance LbInstance::make(te::Topology topo,
                             int k_paths, double t_max) {
   LbInstance inst;
   inst.t_max = t_max;
-  for (const auto& [src, dst] : pairs) {
-    LbCommodity c;
-    c.src = src;
-    c.dst = dst;
-    c.paths = te::k_shortest_paths(topo, src, dst, k_paths);
-    if (c.paths.empty()) continue;
-    inst.commodities.push_back(std::move(c));
-  }
+  inst.commodities = te::make_pairs(topo, pairs, k_paths);
   inst.topo = std::move(topo);
   return inst;
 }

@@ -11,28 +11,18 @@
 // cannot express.
 #pragma once
 
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "te/paths.h"
-#include "te/topology.h"
+#include "te/demand.h"
 
 namespace xplain::lb {
 
-struct LbCommodity {
-  int src = -1;
-  int dst = -1;
-  /// Candidate paths; paths[0] is the shortest.
-  std::vector<te::Path> paths;
-
-  std::string name() const {
-    return std::to_string(src + 1) + "~>" + std::to_string(dst + 1);
-  }
-};
-
 struct LbInstance {
   te::Topology topo;
-  std::vector<LbCommodity> commodities;
+  /// Commodities are te pairs (src, dst, candidate paths; paths[0] is the
+  /// shortest), so te's path-flow LP and DSL network serve LB unchanged.
+  std::vector<te::TePair> commodities;
   /// Upper bound on each commodity rate (demand dims span [0, t_max]).
   double t_max = 0.0;
   /// skewed[l]: link l's capacity is multiplied by the skew input.  Empty
@@ -51,14 +41,18 @@ struct LbInstance {
   /// dimension when present.
   int input_dim() const { return num_commodities() + (has_skew_dim() ? 1 : 0); }
 
+  /// True when link l's capacity is multiplied by the skew input.
+  bool is_skewed(int l) const {
+    return l < static_cast<int>(skewed.size()) && skewed[l];
+  }
+
   /// The skew value encoded in input `x` (1.0 when there is no skew dim).
   double skew_of(const std::vector<double>& x) const;
 
   /// Per-link capacities with the skew applied to the marked links.
   std::vector<double> effective_capacities(double skew) const;
 
-  /// Builds an instance: up to `k_paths` candidate paths per commodity;
-  /// commodities with no path are dropped.
+  /// Builds an instance over te::make_pairs(topo, pairs, k_paths).
   static LbInstance make(te::Topology topo,
                          const std::vector<std::pair<int, int>>& pairs,
                          int k_paths, double t_max);

@@ -1,98 +1,15 @@
 #include "lb/network.h"
 
-#include <algorithm>
-#include <string>
-
 namespace xplain::lb {
 
-LbNetwork build_lb_network(const LbInstance& inst) {
-  using namespace flowgraph;
-  LbNetwork lbn;
-  FlowNetwork& net = lbn.net;
-  net = FlowNetwork("wcmp_load_balancing");
-
-  NodeId met = net.add_node("met_traffic", NodeKind::kSink);
-  NodeId unmet = net.add_node("unmet_traffic", NodeKind::kSink);
-
-  std::vector<NodeId> link_nodes(inst.topo.num_links());
-  lbn.link_edges.resize(inst.topo.num_links());
+void mark_skewed_links(te::PathNetwork& lbn, const LbInstance& inst) {
   for (int l = 0; l < inst.topo.num_links(); ++l) {
-    const std::string ln = inst.topo.link_name(te::LinkId{l});
-    link_nodes[l] = net.add_node("link_" + ln, NodeKind::kSplit);
-    net.set_node_meta(link_nodes[l], "kind", "link");
-    const bool is_skewed =
-        l < static_cast<int>(inst.skewed.size()) && inst.skewed[l];
-    net.set_node_meta(link_nodes[l], "skewed", is_skewed ? "yes" : "no");
-    EdgeId e = net.add_edge(link_nodes[l], met, "cap_" + ln);
-    net.set_capacity(e, inst.topo.link(te::LinkId{l}).capacity);
-    net.set_edge_meta(e, "kind", "link_capacity");
-    net.set_edge_meta(e, "skewed", is_skewed ? "yes" : "no");
-    lbn.link_edges[l] = e;
+    const char* mark = inst.is_skewed(l) ? "yes" : "no";
+    const flowgraph::EdgeId cap_edge = lbn.link_edges[l];
+    const flowgraph::NodeId link_node{lbn.net.edge(cap_edge).from};
+    lbn.net.set_node_meta(link_node, "skewed", mark);
+    lbn.net.set_edge_meta(cap_edge, "skewed", mark);
   }
-
-  lbn.path_edges.resize(inst.num_commodities());
-  lbn.path_link_edges.resize(inst.num_commodities());
-  lbn.commodity_nodes.resize(inst.num_commodities());
-  lbn.unmet_edges.resize(inst.num_commodities());
-  for (int k = 0; k < inst.num_commodities(); ++k) {
-    const LbCommodity& c = inst.commodities[k];
-    NodeId src = net.add_node("traffic_" + c.name(), NodeKind::kSource);
-    net.set_injection_range(src, 0.0, inst.t_max, /*is_input=*/true);
-    net.set_node_meta(src, "kind", "commodity");
-    net.set_node_meta(src, "pair", c.name());
-    lbn.commodity_nodes[k] = src;
-
-    for (std::size_t p = 0; p < c.paths.size(); ++p) {
-      const te::Path& path = c.paths[p];
-      NodeId pn = net.add_node("path_" + path.name(), NodeKind::kCopy);
-      net.set_node_meta(pn, "kind", "path");
-      net.set_node_meta(pn, "hops", std::to_string(path.hops()));
-      EdgeId de = net.add_edge(src, pn, c.name() + " via " + path.name());
-      net.set_edge_meta(de, "kind", "commodity_path");
-      net.set_edge_meta(de, "pair", c.name());
-      net.set_edge_meta(de, "path", path.name());
-      net.set_edge_meta(de, "shortest", p == 0 ? "yes" : "no");
-      lbn.path_edges[k].push_back(de);
-      std::vector<EdgeId> pls;
-      for (te::LinkId l : path.links(inst.topo)) {
-        EdgeId pe = net.add_edge(pn, link_nodes[l.v],
-                                 path.name() + " on " +
-                                     inst.topo.link_name(l));
-        net.set_edge_meta(pe, "kind", "path_link");
-        pls.push_back(pe);
-      }
-      lbn.path_link_edges[k].push_back(std::move(pls));
-    }
-    EdgeId ue = net.add_edge(src, unmet, c.name() + " unmet");
-    net.set_edge_meta(ue, "kind", "unmet");
-    lbn.unmet_edges[k] = ue;
-  }
-
-  net.set_objective(unmet, /*maximize=*/false);
-  return lbn;
-}
-
-std::vector<double> lb_network_flows(
-    const LbNetwork& lbn, const LbInstance& inst, const std::vector<double>& x,
-    const std::vector<std::vector<double>>& path_flows) {
-  std::vector<double> flows(lbn.net.num_edges(), 0.0);
-  std::vector<double> link_total(inst.topo.num_links(), 0.0);
-  for (int k = 0; k < inst.num_commodities(); ++k) {
-    double routed = 0.0;
-    for (std::size_t p = 0; p < lbn.path_edges[k].size(); ++p) {
-      const double f = p < path_flows[k].size() ? path_flows[k][p] : 0.0;
-      flows[lbn.path_edges[k][p].v] = f;
-      routed += f;
-      for (flowgraph::EdgeId pl : lbn.path_link_edges[k][p])
-        flows[pl.v] = f;  // copy node: full path flow on every link edge
-      for (te::LinkId l : inst.commodities[k].paths[p].links(inst.topo))
-        link_total[l.v] += f;
-    }
-    flows[lbn.unmet_edges[k].v] = std::max(0.0, x[k] - routed);
-  }
-  for (int l = 0; l < inst.topo.num_links(); ++l)
-    flows[lbn.link_edges[l].v] = link_total[l];
-  return flows;
 }
 
 }  // namespace xplain::lb

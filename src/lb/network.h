@@ -1,42 +1,23 @@
-// DSL face of the load-balancing case: the flow network Type-2 heatmaps
-// are rendered on.  Same construction family as the DP Fig. 4a network —
-// commodity sources (analyzer inputs) -> per-candidate-path copy nodes ->
-// per-link split nodes capped into a "met" sink, plus an "unmet" spill edge
-// per commodity — so heatmaps from all four cases read the same way:
-// intense blue where only the optimal routes, intense red where only WCMP
-// does.
+// DSL face of the load-balancing case: te's path network (Fig. 4a family,
+// te/path_network.h) under LB's labels — "traffic_<pair>" sources of kind
+// "commodity" into "met_traffic" / "unmet_traffic" sinks — so heatmaps
+// from all four cases read the same way.  The one LB-specific addition is
+// the capacity-skew marking on the link tier.
 #pragma once
 
-#include <vector>
-
-#include "flowgraph/network.h"
 #include "lb/instance.h"
-#include "lb/wcmp.h"
+#include "te/path_network.h"
 
 namespace xplain::lb {
 
-/// Handles into the LB network so oracle- and explanation-code can find its
-/// pieces without string lookups.
-struct LbNetwork {
-  flowgraph::FlowNetwork net;
-  std::vector<flowgraph::NodeId> commodity_nodes;  // per commodity
-  std::vector<flowgraph::EdgeId> unmet_edges;      // per commodity
-  /// path_edges[k][p]: commodity k -> path-node edge for candidate path p.
-  std::vector<std::vector<flowgraph::EdgeId>> path_edges;
-  /// path_link_edges[k][p]: the path-node -> link-node edges of that path.
-  std::vector<std::vector<std::vector<flowgraph::EdgeId>>> path_link_edges;
-  std::vector<flowgraph::EdgeId> link_edges;       // per topology link
-};
+inline constexpr te::PathNetworkLabels kNetworkLabels{
+    "wcmp_load_balancing", "traffic", "commodity"};
 
-/// Builds the LB network.  Link-capacity edges carry the *base* (skew = 1)
-/// capacities; the capacity-skew input only exists in the evaluator/oracle,
-/// which compute flows against the skewed capacities.
-LbNetwork build_lb_network(const LbInstance& inst);
-
-/// Maps per-(commodity, path) flows (from wcmp_split or solve_lb_optimal)
-/// onto the LB network's edges.  Returns one flow value per EdgeId.
-std::vector<double> lb_network_flows(
-    const LbNetwork& lbn, const LbInstance& inst, const std::vector<double>& x,
-    const std::vector<std::vector<double>>& path_flows);
+/// Marks every link node and link-capacity edge of `lbn` (built over
+/// `inst` with kNetworkLabels) "skewed" yes/no.  Link-capacity edges carry
+/// the *base* (skew = 1) capacities; the capacity-skew input only exists
+/// in the evaluator/oracle, which compute flows against the skewed
+/// capacities.
+void mark_skewed_links(te::PathNetwork& lbn, const LbInstance& inst);
 
 }  // namespace xplain::lb

@@ -7,7 +7,6 @@
 
 #include "lb/wcmp.h"
 #include "model/model.h"
-#include "solver/simplex.h"
 
 namespace xplain::lb {
 
@@ -83,62 +82,39 @@ LbOptimalResult solve_lb_optimal(const LbInstance& inst,
   return res;
 }
 
-LbOptimalSolver::LbOptimalSolver(const LbInstance& inst) : inst_(inst) {
-  // Same LP solve_lb_optimal's default configuration reaches through the
-  // model layer, assembled directly: row k is commodity k's demand row,
-  // row K + l is link l's capacity row; only those rhs move per sample.
-  const int K = inst.num_commodities();
-  lp_.sense = solver::Sense::kMaximize;
-  int nflows = 0;
-  for (const auto& c : inst.commodities)
-    nflows += static_cast<int>(c.paths.size());
-  lp_.reserve(nflows, K + inst.topo.num_links());
-  std::vector<std::vector<std::pair<int, double>>> link_load(
-      inst.topo.num_links());
-  std::vector<std::pair<int, double>> routed;
-  for (int k = 0; k < K; ++k) {
-    const auto& paths = inst.commodities[k].paths;
-    routed.clear();
-    for (std::size_t p = 0; p < paths.size(); ++p) {
-      const int v = lp_.add_col(0, solver::kInf, 1.0);
-      routed.emplace_back(v, 1.0);
-      for (te::LinkId l : paths[p].links(inst.topo))
-        link_load[l.v].emplace_back(v, 1.0);
-    }
-    lp_.add_row(routed, solver::RowSense::kLe, 0.5 * inst.t_max);
-  }
-  const std::vector<double> center_caps = inst.effective_capacities(
-      inst.has_skew_dim() ? 0.5 * (inst.skew_lo + inst.skew_hi) : 1.0);
-  for (int l = 0; l < inst.topo.num_links(); ++l)
-    lp_.add_row(std::move(link_load[l]), solver::RowSense::kLe,
-                center_caps[l]);
+namespace {
 
-  // Fixed reference basis from a cold solve at the input-box center.
-  solver::SimplexOptions sopts;
-  sopts.want_duals = false;
-  auto ref = solver::solve_lp(lp_, sopts);
-  if (ref.status == solver::Status::kOptimal && !ref.basis.empty()) {
-    reference_basis_ = std::move(ref.basis);
-    has_reference_ = true;
-  }
+std::vector<double> center_caps(const LbInstance& inst) {
+  return inst.effective_capacities(
+      inst.has_skew_dim() ? 0.5 * (inst.skew_lo + inst.skew_hi) : 1.0);
+}
+
+}  // namespace
+
+LbOptimalSolver::LbOptimalSolver(const LbInstance& inst)
+    : t_max_(inst.t_max),
+      has_skew_dim_(inst.has_skew_dim()),
+      base_caps_(inst.effective_capacities(1.0)),
+      skewed_(inst.topo.num_links(), false),
+      rates_(inst.num_commodities()),
+      // The caps_ buffer starts out holding the center capacities the
+      // reference solve needs (members initialize in declaration order).
+      caps_(center_caps(inst)),
+      max_flow_(inst.topo, inst.commodities,
+                std::vector<double>(inst.num_commodities(), 0.5 * inst.t_max),
+                &caps_) {
+  for (int l = 0; l < inst.topo.num_links(); ++l)
+    skewed_[l] = inst.is_skewed(l);
 }
 
 double LbOptimalSolver::solve_total(const std::vector<double>& x) {
-  const LbInstance& inst = inst_;
-  assert(static_cast<int>(x.size()) == inst.input_dim());
-  const int K = inst.num_commodities();
-  for (int k = 0; k < K; ++k)
-    lp_.set_row_rhs(k, std::clamp(x[k], 0.0, inst.t_max));
-  const std::vector<double> caps =
-      inst.effective_capacities(inst.skew_of(x));
-  for (int l = 0; l < inst.topo.num_links(); ++l)
-    lp_.set_row_rhs(K + l, std::max(0.0, caps[l]));
-  solver::SimplexOptions sopts;
-  sopts.want_duals = false;
-  sopts.want_basis = false;
-  auto s = solver::solve_lp(lp_, sopts,
-                            has_reference_ ? &reference_basis_ : nullptr);
-  return s.status == solver::Status::kOptimal ? s.obj : -1.0;
+  assert(x.size() == rates_.size() + (has_skew_dim_ ? 1 : 0));
+  for (std::size_t k = 0; k < rates_.size(); ++k)
+    rates_[k] = std::clamp(x[k], 0.0, t_max_);
+  const double skew = has_skew_dim_ ? x[rates_.size()] : 1.0;
+  for (std::size_t l = 0; l < caps_.size(); ++l)
+    caps_[l] = skewed_[l] ? base_caps_[l] * skew : base_caps_[l];
+  return max_flow_.solve_total(rates_, &caps_).value_or(-1.0);
 }
 
 double lb_gap_cached(const LbInstance& inst, const std::vector<double>& x,

@@ -11,6 +11,7 @@
 
 #include "lb/instance.h"
 #include "solver/milp.h"
+#include "te/maxflow.h"
 
 namespace xplain::lb {
 
@@ -35,12 +36,15 @@ LbOptimalResult solve_lb_optimal(const LbInstance& inst,
                                  const LbOptimalOptions& opts = {});
 
 /// Hot-loop twin of solve_lb_optimal's default (pure-LP, unlimited paths)
-/// configuration, built like te::MaxFlowSolver: the LP structure is built
-/// once per instance and every solve only moves row right-hand sides
-/// (demands and skewed capacities), warm-starting from a fixed
-/// center-of-box reference basis.  Pure function of `x` — history cannot
-/// change results, preserving parallel determinism with per-thread
-/// instances (see the cache in cases/lb_case.cpp).  Not thread-safe.
+/// configuration: an adapter over te::MaxFlowSolver, which builds the LP
+/// once per instance and warm-starts every solve from a fixed reference
+/// basis taken at the center of the input box (rates at t_max / 2, skew at
+/// the middle of its range).  Each solve maps `x` to rates clamped to
+/// [0, t_max] and to skewed capacities, and moves only those rhs.  Pure
+/// function of `x` — history cannot change results, preserving parallel
+/// determinism with per-thread instances (see cases/thread_solver.h).
+/// Owns what the mapping reads, so it may outlive `inst`.  Not
+/// thread-safe.
 class LbOptimalSolver {
  public:
   explicit LbOptimalSolver(const LbInstance& inst);
@@ -53,13 +57,16 @@ class LbOptimalSolver {
   /// The prebuilt LP structure (row/column counts feed the solver-scale
   /// reporting in bench_lb_wcmp — the ROADMAP's LU-factorization note
   /// tracks when instances reach thousands of rows).
-  const solver::LpProblem& problem() const { return lp_; }
+  const solver::LpProblem& problem() const { return max_flow_.problem(); }
 
  private:
-  LbInstance inst_;  // own copy: cache entries may outlive their builder
-  solver::LpProblem lp_;
-  solver::Basis reference_basis_;
-  bool has_reference_ = false;
+  double t_max_;
+  bool has_skew_dim_;
+  std::vector<double> base_caps_;  // per link, skew 1
+  std::vector<bool> skewed_;       // per link
+  std::vector<double> rates_;      // per commodity, reused across solves
+  std::vector<double> caps_;       // per link, reused across solves
+  te::MaxFlowSolver max_flow_;
 };
 
 /// Optimal splittable total minus WCMP total, reusing a prebuilt solver

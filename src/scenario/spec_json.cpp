@@ -1,5 +1,7 @@
 #include "scenario/spec_json.h"
 
+#include <cmath>
+
 namespace xplain::scenario {
 
 namespace {
@@ -52,6 +54,27 @@ std::optional<ScenarioSpec> spec_from_json(const Json& v, std::string* err) {
   out.waxman_beta = v.num_or("waxman_beta", out.waxman_beta);
   out.capacity_degradation =
       v.num_or("capacity_degradation", out.capacity_degradation);
+  // Range checks: the generators assume these (a fat-tree's arity is only
+  // an assert there), and a spec that fails one must never reach a job.
+  const auto out_of_range = [&](const char* key, const char* rule) {
+    return fail(std::string("scenario field \"") + key + "\" must be " + rule);
+  };
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  if (out.kind == TopologyKind::kFatTree) {
+    if (out.size < 2 || out.size % 2 != 0)
+      return out_of_range("size", "an even fat-tree arity >= 2");
+  } else if (out.size < 2) {
+    return out_of_range("size", "a node count >= 2");
+  }
+  if (out.failed_links < 0) return out_of_range("failed_links", ">= 0");
+  if (!positive(out.capacity))
+    return out_of_range("capacity", "finite and > 0");
+  if (!positive(out.capacity_degradation) || out.capacity_degradation > 1.0)
+    return out_of_range("capacity_degradation", "finite and in (0, 1]");
+  if (!positive(out.waxman_alpha))
+    return out_of_range("waxman_alpha", "finite and > 0");
+  if (!positive(out.waxman_beta))
+    return out_of_range("waxman_beta", "finite and > 0");
   return out;
 }
 

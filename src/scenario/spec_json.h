@@ -8,8 +8,12 @@
 // numbers clip above 2^53) and doubles via util::Json's max_digits10
 // printing — so to -> from -> to round-trips byte-for-byte.  spec_from_json
 // is lenient the way the daemon always was: absent fields keep their spec
-// defaults; only a malformed shape, an unknown kind or an integer field
-// that is fractional or out of its type's range is an error.
+// defaults.  It is also the trust boundary for both the daemon and the
+// archive: a malformed shape, an unknown kind, an integer field that is
+// fractional or out of its type's range, and a value the generators cannot
+// build (fat-tree arity odd or < 2, any other size < 2, failed_links < 0,
+// capacity, Waxman alpha or beta not finite and > 0, capacity_degradation
+// outside (0, 1]) are errors naming the field.
 #pragma once
 
 #include <optional>

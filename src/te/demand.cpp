@@ -2,19 +2,27 @@
 
 namespace xplain::te {
 
+std::vector<TePair> make_pairs(
+    const Topology& topo, const std::vector<std::pair<int, int>>& endpoints,
+    int k_paths) {
+  std::vector<TePair> pairs;
+  for (const auto& [s, t] : endpoints) {
+    TePair p;
+    p.src = s;
+    p.dst = t;
+    p.paths = k_shortest_paths(topo, s, t, k_paths);
+    if (!p.paths.empty()) pairs.push_back(std::move(p));
+  }
+  return pairs;
+}
+
 TeInstance TeInstance::make(
     Topology topo, const std::vector<std::pair<int, int>>& demand_pairs,
     int k_paths, double d_max) {
   TeInstance inst;
+  inst.pairs = make_pairs(topo, demand_pairs, k_paths);
   inst.topo = std::move(topo);
   inst.d_max = d_max;
-  for (const auto& [s, t] : demand_pairs) {
-    TePair p;
-    p.src = s;
-    p.dst = t;
-    p.paths = k_shortest_paths(inst.topo, s, t, k_paths);
-    if (!p.paths.empty()) inst.pairs.push_back(std::move(p));
-  }
   return inst;
 }
 

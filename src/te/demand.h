@@ -22,6 +22,13 @@ struct TePair {
   }
 };
 
+/// Up to `k_paths` candidate paths for each (src, dst) endpoint pair, in
+/// order; pairs with no path are dropped.  The one pair-and-path
+/// construction behind TeInstance::make and lb::LbInstance::make.
+std::vector<TePair> make_pairs(
+    const Topology& topo, const std::vector<std::pair<int, int>>& endpoints,
+    int k_paths);
+
 struct TeInstance {
   Topology topo;
   std::vector<TePair> pairs;
@@ -30,8 +37,7 @@ struct TeInstance {
 
   int num_pairs() const { return static_cast<int>(pairs.size()); }
 
-  /// Builds an instance: computes up to `k` candidate paths per pair and
-  /// drops pairs with no path.
+  /// Builds an instance over make_pairs(topo, demand_pairs, k_paths).
   static TeInstance make(Topology topo,
                          const std::vector<std::pair<int, int>>& demand_pairs,
                          int k_paths, double d_max);

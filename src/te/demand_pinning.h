@@ -5,8 +5,8 @@
 // residual capacity.  Three faces of the heuristic live here:
 //   * an executable simulation (used by the search analyzer, the subspace
 //     sampler, and the explainer — thousands of evaluations per run);
-//   * the Fig. 4a DSL network (demand sources -> path copy nodes -> link
-//     nodes -> met/unmet sinks) used by the explainer's heatmaps;
+//   * the Fig. 4a DSL network (te/path_network.h under DP's labels) used
+//     by the explainer's heatmaps;
 //   * the pinning rule appended onto a compiled network, which is the
 //     Fig. 1b MetaOpt encoding (ForceToZeroIfLeq + MaxFlow).
 #pragma once
@@ -19,6 +19,7 @@
 #include "model/helpers.h"
 #include "te/demand.h"
 #include "te/maxflow.h"
+#include "te/path_network.h"
 
 namespace xplain::te {
 
@@ -38,7 +39,7 @@ struct DpResult {
 /// Runs the DP heuristic on demand vector `d`.  `mf`, when non-null, is a
 /// prebuilt MaxFlowSolver for `inst` used for the residual solve (the
 /// sampling hot loops keep one per thread instead of rebuilding the LP
-/// every call — see cases/dp_case.cpp).
+/// every call — see cases/thread_solver.h).
 DpResult run_demand_pinning(const TeInstance& inst, const DpConfig& cfg,
                             const std::vector<double>& d,
                             MaxFlowSolver* mf = nullptr);
@@ -51,44 +52,22 @@ double dp_gap(const TeInstance& inst, const DpConfig& cfg,
 
 // --- DSL face (Fig. 4a). ---
 
-/// Handles into the DP network so rule- and explanation-code can find its
-/// pieces without string lookups.
-struct DpNetwork {
-  flowgraph::FlowNetwork net;
-  std::vector<flowgraph::NodeId> demand_nodes;        // per pair
-  std::vector<flowgraph::EdgeId> unmet_edges;         // per pair
-  /// path_edges[k][p]: demand k -> path-node edge for candidate path p
-  /// (p == 0 is the shortest path, DP's pinning target).
-  std::vector<std::vector<flowgraph::EdgeId>> path_edges;
-  /// path_link_edges[k][p]: the path-node -> link-node edges of that path.
-  std::vector<std::vector<std::vector<flowgraph::EdgeId>>> path_link_edges;
-  std::vector<flowgraph::EdgeId> link_edges;          // per topology link
-};
-
-/// Builds the Fig. 4a network: sources (split) per demand, copy node per
-/// candidate path, split node per link with the link capacity on its edge
-/// into the "met" sink, plus an "unmet" sink edge per demand.  The
-/// objective is minimizing unmet demand (== maximizing routed traffic).
-DpNetwork build_dp_network(const TeInstance& inst);
+/// The Fig. 4a network over the instance's pairs (te/path_network.h),
+/// labelled with DP's words: "demand_<pair>" sources into "met_demand" /
+/// "unmet_demand" sinks.
+PathNetwork build_dp_network(const TeInstance& inst);
 
 /// Appends the DP pinning rule (Fig. 1b) to a compiled DP network:
 /// for every pair k, ForceToZeroIfLeq(d_k - f_shortest, d_k, T) plus
 /// "pinned demands use only the shortest path".  Returns the per-pair
 /// pinned-indicator variables.
 std::vector<model::Var> add_pinning_rule(flowgraph::CompiledNetwork& c,
-                                         const DpNetwork& dp,
+                                         const PathNetwork& dp,
                                          const DpConfig& cfg,
                                          const model::HelperConfig& hcfg = {});
 
 /// Fixes the network's input injections to a concrete demand vector.
-void fix_demands(flowgraph::CompiledNetwork& c, const DpNetwork& dp,
+void fix_demands(flowgraph::CompiledNetwork& c, const PathNetwork& dp,
                  const std::vector<double>& d);
-
-/// Maps per-(pair, path) flows (from run_demand_pinning or solve_max_flow)
-/// onto the DP network's edges, for the explainer.  Returns one flow value
-/// per EdgeId.
-std::vector<double> dp_network_flows(
-    const DpNetwork& dp, const TeInstance& inst, const std::vector<double>& d,
-    const std::vector<std::vector<double>>& path_flows);
 
 }  // namespace xplain::te

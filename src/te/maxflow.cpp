@@ -21,50 +21,72 @@ std::vector<double> FlowResult::link_utilization(
   return util;
 }
 
-FlowResult solve_max_flow(const TeInstance& inst, const std::vector<double>& d,
-                          const std::vector<double>* residual_caps,
-                          const std::vector<bool>* skip) {
-  assert(static_cast<int>(d.size()) == inst.num_pairs());
-  // This runs once or twice per gap() evaluation — the innermost loop of
-  // the sampling stages — so the LP is assembled directly (no Model /
-  // LinExpr temporaries; that front end measurably dominated the solve on
-  // these tiny instances).
+namespace {
+
+/// The path-flow LP: one column (0, inf, objective 1) per (pair, path) in
+/// pair-then-path order, one demand row per pair with rhs demand_rhs[k],
+/// then one capacity row per link with rhs caps[l] (null = the topology's
+/// capacities).  A pair with skip[k] set gets neither columns nor a demand
+/// row.  first_var[k] receives pair k's first column (-1 when skipped).
+///
+/// The direct assembly (no Model / LinExpr temporaries) matters: these LPs
+/// sit in the innermost loop of the sampling stages, where that front end
+/// measurably dominated the solve on small instances.
+solver::LpProblem build_path_flow_lp(const Topology& topo,
+                                     const std::vector<TePair>& pairs,
+                                     const std::vector<double>& demand_rhs,
+                                     const std::vector<double>* caps,
+                                     const std::vector<bool>* skip,
+                                     std::vector<int>& first_var) {
+  const int num_pairs = static_cast<int>(pairs.size());
   solver::LpProblem lp;
   lp.sense = solver::Sense::kMaximize;
   int nvars = 0;
-  for (int k = 0; k < inst.num_pairs(); ++k)
+  for (int k = 0; k < num_pairs; ++k)
     if (!skip || !(*skip)[k])
-      nvars += static_cast<int>(inst.pairs[k].paths.size());
-  lp.reserve(nvars, inst.num_pairs() + inst.topo.num_links());
-  // Per (pair, path) flow variable; objective 1 on each (maximize total).
-  std::vector<int> first_var(inst.num_pairs(), -1);
+      nvars += static_cast<int>(pairs[k].paths.size());
+  lp.reserve(nvars, num_pairs + topo.num_links());
+  first_var.assign(num_pairs, -1);
   std::vector<std::vector<std::pair<int, double>>> link_load(
-      inst.topo.num_links());
+      topo.num_links());
   std::vector<std::pair<int, double>> routed;
-  for (int k = 0; k < inst.num_pairs(); ++k) {
+  for (int k = 0; k < num_pairs; ++k) {
     if (skip && (*skip)[k]) continue;
-    const auto& paths = inst.pairs[k].paths;
+    const auto& paths = pairs[k].paths;
     routed.clear();
     for (std::size_t p = 0; p < paths.size(); ++p) {
       const int v = lp.add_col(0, solver::kInf, 1.0);
       if (p == 0) first_var[k] = v;
       routed.emplace_back(v, 1.0);
-      for (LinkId l : paths[p].links(inst.topo))
-        link_load[l.v].emplace_back(v, 1.0);
+      for (LinkId l : paths[p].links(topo)) link_load[l.v].emplace_back(v, 1.0);
     }
-    lp.add_row(routed, solver::RowSense::kLe, d[k]);
+    lp.add_row(routed, solver::RowSense::kLe, demand_rhs[k]);
   }
-  for (int l = 0; l < inst.topo.num_links(); ++l) {
-    const double cap =
-        residual_caps ? (*residual_caps)[l] : inst.topo.link(LinkId{l}).capacity;
+  for (int l = 0; l < topo.num_links(); ++l) {
+    const double cap = caps ? (*caps)[l] : topo.link(LinkId{l}).capacity;
     lp.add_row(std::move(link_load[l]), solver::RowSense::kLe, cap);
   }
-  // Neither the duals nor the basis are consumed here — skip extracting
-  // them on this innermost-loop solve.
+  return lp;
+}
+
+/// Neither the duals nor the basis are consumed by the per-sample solves.
+solver::SimplexOptions sample_solve_options() {
   solver::SimplexOptions sopts;
   sopts.want_duals = false;
   sopts.want_basis = false;
-  auto s = solver::solve_lp(lp, sopts);
+  return sopts;
+}
+
+}  // namespace
+
+FlowResult solve_max_flow(const TeInstance& inst, const std::vector<double>& d,
+                          const std::vector<double>* residual_caps,
+                          const std::vector<bool>* skip) {
+  assert(static_cast<int>(d.size()) == inst.num_pairs());
+  std::vector<int> first_var;
+  const solver::LpProblem lp = build_path_flow_lp(
+      inst.topo, inst.pairs, d, residual_caps, skip, first_var);
+  auto s = solver::solve_lp(lp, sample_solve_options());
 
   FlowResult res;
   if (s.status != solver::Status::kOptimal) return res;
@@ -80,51 +102,33 @@ FlowResult solve_max_flow(const TeInstance& inst, const std::vector<double>& d,
   return res;
 }
 
-MaxFlowSolver::MaxFlowSolver(const TeInstance& inst)
-    : num_pairs_(inst.num_pairs()), num_links_(inst.topo.num_links()) {
+MaxFlowSolver::MaxFlowSolver(const Topology& topo,
+                             const std::vector<TePair>& pairs,
+                             const std::vector<double>& center_demands,
+                             const std::vector<double>* center_caps)
+    : num_pairs_(static_cast<int>(pairs.size())),
+      num_links_(topo.num_links()) {
+  assert(static_cast<int>(center_demands.size()) == num_pairs_);
   base_caps_.resize(num_links_);
   for (int l = 0; l < num_links_; ++l)
-    base_caps_[l] = inst.topo.link(LinkId{l}).capacity;
-
-  // Same formulation as solve_max_flow, built once with EVERY pair's
-  // columns: a skipped pair is expressed per solve by dropping its demand
-  // row's rhs to 0 (forcing its flows to 0) instead of by omitting columns,
-  // so the structure — and with it the warm-start basis — survives any
-  // (d, residual, skip) combination.  Row i is pair i's demand row; row
-  // num_pairs_ + l is link l's capacity row.
-  lp_.sense = solver::Sense::kMaximize;
-  int nflows = 0;
+    base_caps_[l] = topo.link(LinkId{l}).capacity;
+  num_paths_.resize(num_pairs_);
   for (int k = 0; k < num_pairs_; ++k)
-    nflows += static_cast<int>(inst.pairs[k].paths.size());
-  lp_.reserve(nflows, num_pairs_ + num_links_);
+    num_paths_[k] = static_cast<int>(pairs[k].paths.size());
 
-  first_flow_var_.assign(num_pairs_, -1);
-  num_paths_.assign(num_pairs_, 0);
-  std::vector<std::vector<std::pair<int, double>>> link_load(num_links_);
-  std::vector<std::pair<int, double>> routed;
-  for (int k = 0; k < num_pairs_; ++k) {
-    const auto& paths = inst.pairs[k].paths;
-    num_paths_[k] = static_cast<int>(paths.size());
-    routed.clear();
-    for (std::size_t p = 0; p < paths.size(); ++p) {
-      const int v = lp_.add_col(0, solver::kInf, 1.0);
-      if (p == 0) first_flow_var_[k] = v;
-      routed.emplace_back(v, 1.0);
-      for (LinkId l : paths[p].links(inst.topo))
-        link_load[l.v].emplace_back(v, 1.0);
-    }
-    lp_.add_row(routed, solver::RowSense::kLe, 0.0);
-  }
-  for (int l = 0; l < num_links_; ++l)
-    lp_.add_row(std::move(link_load[l]), solver::RowSense::kLe, base_caps_[l]);
+  // Built with EVERY pair's columns: a skipped pair is expressed per solve
+  // by dropping its demand row's rhs to 0 (forcing its flows to 0) instead
+  // of by omitting columns, so the structure — and with it the warm-start
+  // basis — survives any (d, caps, skip) combination.  Row k is pair k's
+  // demand row; row num_pairs_ + l is link l's capacity row.
+  lp_ = build_path_flow_lp(topo, pairs, center_demands, center_caps,
+                           /*skip=*/nullptr, first_flow_var_);
 
-  // Reference basis: one cold solve at the center of the demand box (the
+  // Reference basis: one cold solve at the center of the input box (the
   // expected sampling point — uniform sampling concentrates there, so the
   // repair distance from the reference to a typical sample is small).  All
   // later solves warm-start from here, fixed so results never depend on
   // which samples this thread solved before.
-  for (int k = 0; k < num_pairs_; ++k)
-    lp_.set_row_rhs(k, 0.5 * inst.d_max);
   solver::SimplexOptions sopts;
   sopts.want_duals = false;
   auto ref = solver::solve_lp(lp_, sopts);
@@ -134,25 +138,30 @@ MaxFlowSolver::MaxFlowSolver(const TeInstance& inst)
   }
 }
 
-FlowResult MaxFlowSolver::solve(const std::vector<double>& d,
-                                const std::vector<double>* residual_caps,
-                                const std::vector<bool>* skip) {
+MaxFlowSolver::MaxFlowSolver(const TeInstance& inst)
+    : MaxFlowSolver(inst.topo, inst.pairs,
+                    std::vector<double>(inst.num_pairs(), 0.5 * inst.d_max)) {}
+
+solver::LpSolution MaxFlowSolver::run(const std::vector<double>& d,
+                                      const std::vector<double>* caps,
+                                      const std::vector<bool>* skip) {
   assert(static_cast<int>(d.size()) == num_pairs_);
   for (int k = 0; k < num_pairs_; ++k) {
     const double rhs = skip && (*skip)[k] ? 0.0 : std::max(0.0, d[k]);
     lp_.set_row_rhs(k, rhs);
   }
   for (int l = 0; l < num_links_; ++l) {
-    const double cap =
-        std::max(0.0, residual_caps ? (*residual_caps)[l] : base_caps_[l]);
+    const double cap = std::max(0.0, caps ? (*caps)[l] : base_caps_[l]);
     lp_.set_row_rhs(num_pairs_ + l, cap);
   }
-  solver::SimplexOptions sopts;
-  sopts.want_duals = false;
-  sopts.want_basis = false;
-  auto s = solver::solve_lp(lp_, sopts,
-                            has_reference_ ? &reference_basis_ : nullptr);
+  return solver::solve_lp(lp_, sample_solve_options(),
+                          has_reference_ ? &reference_basis_ : nullptr);
+}
 
+FlowResult MaxFlowSolver::solve(const std::vector<double>& d,
+                                const std::vector<double>* caps,
+                                const std::vector<bool>* skip) {
+  const auto s = run(d, caps, skip);
   FlowResult res;
   if (s.status != solver::Status::kOptimal) return res;
   res.feasible = true;
@@ -165,6 +174,14 @@ FlowResult MaxFlowSolver::solve(const std::vector<double>& d,
       res.flow[k][p] = s.x[first_flow_var_[k] + p];
   }
   return res;
+}
+
+std::optional<double> MaxFlowSolver::solve_total(
+    const std::vector<double>& d, const std::vector<double>* caps,
+    const std::vector<bool>* skip) {
+  const auto s = run(d, caps, skip);
+  if (s.status != solver::Status::kOptimal) return std::nullopt;
+  return s.obj;
 }
 
 }  // namespace xplain::te

@@ -1,8 +1,11 @@
 // Optimal multi-commodity path-based max-flow (the OPT benchmark in the
-// paper's DP example): maximize total routed traffic subject to per-demand
-// caps and link capacities.
+// paper's DP example, and the optimal splittable routing behind the LB
+// case): maximize total routed traffic subject to per-pair demand caps and
+// link capacities.  This is the one path-flow LP in the tree; every case
+// that routes pairs over candidate paths solves it through here.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "solver/lp.h"
@@ -28,30 +31,53 @@ FlowResult solve_max_flow(const TeInstance& inst, const std::vector<double>& d,
                           const std::vector<double>* residual_caps = nullptr,
                           const std::vector<bool>* skip = nullptr);
 
-/// Reusable max-flow LP for one TE instance: the column/row structure is
+/// Reusable max-flow LP over `pairs` on `topo`: the column/row structure is
 /// built ONCE and every solve only moves row right-hand sides (demands,
-/// residual capacities; a skipped pair is a demand rhs of 0) — the
+/// capacities; a skipped pair is a demand rhs of 0) — the
 /// structure-preserving perturbation the simplex warm start supports.
 ///
-/// Every solve warm-starts from one fixed *reference basis* (taken from a
-/// cold solve at the center of the demand box during construction), never
-/// from the previous sample's basis: solve() stays a pure function of its
+/// Every solve warm-starts from one fixed *reference basis* (a cold solve
+/// at the caller's center of the input box during construction), never
+/// from the previous sample's basis: a solve stays a pure function of its
 /// arguments, which is what keeps the parallel sampling loops bitwise
 /// deterministic for any worker count even though each worker thread owns
-/// its own solver (see the per-thread cache in cases/dp_case.cpp).
+/// its own solver (see cases/thread_solver.h).
 ///
-/// Not thread-safe: use one instance per thread.
+/// Owns everything it reads after construction.  Not thread-safe: use one
+/// instance per thread.
 class MaxFlowSolver {
  public:
+  /// `center_demands` (one per pair) and `center_caps` (one per link;
+  /// null = the topology's capacities) are the rhs of the reference solve.
+  MaxFlowSolver(const Topology& topo, const std::vector<TePair>& pairs,
+                const std::vector<double>& center_demands,
+                const std::vector<double>* center_caps = nullptr);
+
+  /// Centered on a TE instance's demand box: every demand at d_max / 2,
+  /// the topology's capacities.
   explicit MaxFlowSolver(const TeInstance& inst);
 
-  /// Same contract as solve_max_flow (demands d, optional residual
-  /// capacities, optional skipped pairs).
+  /// Same contract as solve_max_flow (demands d, optional capacities,
+  /// optional skipped pairs); negative rhs values are clamped to 0.
   FlowResult solve(const std::vector<double>& d,
-                   const std::vector<double>* residual_caps = nullptr,
+                   const std::vector<double>* caps = nullptr,
                    const std::vector<bool>* skip = nullptr);
 
+  /// solve() without the per-path flow extraction: the total routed, or
+  /// nullopt when the solve fails (never in practice: the LP is always
+  /// feasible and bounded).
+  std::optional<double> solve_total(const std::vector<double>& d,
+                                    const std::vector<double>* caps = nullptr,
+                                    const std::vector<bool>* skip = nullptr);
+
+  /// The prebuilt LP (its rhs are those of the last solve).
+  const solver::LpProblem& problem() const { return lp_; }
+
  private:
+  solver::LpSolution run(const std::vector<double>& d,
+                         const std::vector<double>* caps,
+                         const std::vector<bool>* skip);
+
   int num_pairs_ = 0;
   int num_links_ = 0;
   std::vector<double> base_caps_;

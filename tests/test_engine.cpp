@@ -295,7 +295,7 @@ TEST(Engine, SeedDecorrelatesReplications) {
 
 TEST(Engine, WcmpOverCorpusFeedsTypeThree) {
   // The generic factory path: WCMP sweeps scenarios with no bespoke
-  // lb_case_factory adapter — features flow into generalize_batch inside
+  // per-case adapter — features flow into generalize_batch inside
   // Engine::run.
   ExperimentSpec spec;
   spec.cases = {"wcmp"};

@@ -1,9 +1,18 @@
-// Tests for the Type-3 generalizer: grammar mining on controlled data and
-// the end-to-end DP trend the paper predicts (increasing pinned-path
-// length => larger gap).
+// Tests for the Type-3 generalizer: grammar mining on controlled data, the
+// DP instance family, and the guardrail against fabricated trends over an
+// Engine grid.  (The end-to-end DP trend the paper predicts, increasing
+// pinned-path length => larger gap, is Batch.FeedsTypeThreeGeneralization.)
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "cases/ff_case.h"
+#include "engine/engine.h"
+#include "generalize/features.h"
 #include "generalize/generalizer.h"
+#include "generalize/instance_generator.h"
+#include "util/random.h"
 
 using namespace xplain::generalize;
 
@@ -74,43 +83,40 @@ TEST(InstanceGenerator, FeaturesTrackParameters) {
   EXPECT_LT(fa.at("pinned_sp_max_hops"), fb.at("pinned_sp_max_hops"));
 }
 
-TEST(Generalizer, DpProducesIncreasingPathLengthPredicate) {
-  // The §5.4 headline result: across generated instances the generalizer
-  // emits increasing(P) — gap grows with the pinned shortest-path length.
-  GeneralizerOptions opts;
-  opts.instances = 16;
-  opts.seed = 77;
-  opts.search.restarts = 10;
-  opts.search.presamples = 120;
-  auto res = generalize(dp_case_factory(), opts);
-  ASSERT_EQ(res.observations.size(), 16u);
-
-  bool found = false;
-  for (const auto& p : res.predicates) {
-    if ((p.feature == "pinned_sp_hops" || p.feature == "pinned_sp_max_hops") &&
-        p.trend == Trend::kIncreasing)
-      found = true;
-  }
-  EXPECT_TRUE(found) << "expected increasing(pinned_sp_hops); got "
-                     << res.predicates.size() << " predicates";
-}
-
 TEST(Generalizer, VbpEmitsNoSpuriousTrendOnFlatGaps) {
   // The pattern-search analyzer finds a 1-bin FF gap at every instance size
   // (multi-bin gaps need adversarial constructions beyond local search — the
   // paper's §5.2 scaling open question).  With a flat gap series the
-  // generalizer's guardrail matters: it must NOT fabricate a trend.
-  GeneralizerOptions opts;
-  opts.instances = 14;
-  opts.seed = 99;
-  opts.search.restarts = 8;
-  opts.search.presamples = 100;
-  opts.normalize_gap = false;  // bin-count gaps are already comparable
-  auto res = generalize(vbp_case_factory(), opts);
+  // generalizer's guardrail matters: it must NOT fabricate a trend.  One
+  // Engine grid over 14 first-fit instances of 3-9 balls (bins = balls),
+  // the ball counts a seeded uniform draw produced.
+  xplain::CaseRegistry reg;
+  xplain::ExperimentSpec spec;
+  const int balls[] = {6, 7, 7, 8, 4, 5, 4, 6, 8, 6, 4, 4, 4, 9};
+  for (int i = 0; i < 14; ++i) {
+    xplain::vbp::VbpInstance inst;
+    inst.num_balls = balls[i];
+    inst.num_bins = balls[i];
+    inst.dims = 1;
+    inst.capacity = 1.0;
+    const auto c = std::make_shared<xplain::cases::VbpCase>(inst);
+    const std::string name = "vbp" + std::to_string(i);
+    reg.add(name, [c] { return c; });
+    spec.cases.push_back(name);
+  }
+  spec.options.min_gap = 1.0;  // FF gaps are whole bins
+  spec.options.subspace.max_subspaces = 1;
+  spec.options.explain.samples = 0;  // Type-3 only needs the gaps
+  spec.normalize_gap = false;        // bin-count gaps are already comparable
+  spec.seed = 99;
+  const auto res = xplain::Engine(reg).run(spec);
+
+  ASSERT_EQ(res.trends.observations.size(), spec.cases.size());
   // Every instance yields an adversarial input (FF always loses a bin
   // somewhere)...
-  for (const auto& obs : res.observations) EXPECT_GE(obs.max_gap, 1.0);
+  for (const auto& obs : res.trends.observations)
+    EXPECT_GE(obs.max_gap, 1.0);
   // ...and no significant num_balls trend is claimed from the flat series.
-  for (const auto& p : res.predicates)
+  for (const auto& p : res.trends.predicates)
     EXPECT_NE(p.feature, "num_balls") << p.to_string();
 }

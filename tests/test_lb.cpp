@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "analyzer/evaluator.h"
+#include "cases/lb_case.h"
 #include "lb/network.h"
 #include "lb/optimal.h"
 #include "lb/wcmp.h"
 #include "scenario/scenario.h"
+#include "solver/lp.h"
 #include "util/random.h"
 
 using namespace xplain;
@@ -41,11 +43,11 @@ LbInstance contended_instance() {
   LbInstance inst;
   inst.topo = std::move(t);
   inst.t_max = 100.0;
-  LbCommodity a;
+  te::TePair a;
   a.src = 1;
   a.dst = 2;
   a.paths = {te::Path{{1, 2}}, te::Path{{1, 3, 2}}};
-  LbCommodity b;
+  te::TePair b;
   b.src = 0;
   b.dst = 2;
   b.paths = {te::Path{{0, 1, 2}}};  // no alternative
@@ -198,9 +200,14 @@ TEST(LbOptimal, PathLimitedMilpIsExactAndBounded) {
   }
 }
 
-TEST(LbNetwork, StructureAndFlowMapping) {
+TEST(LbPathNetwork, StructureLabelsAndFlowMapping) {
   auto inst = contended_instance();
-  auto lbn = build_lb_network(inst);
+  inst.skewed.assign(inst.topo.num_links(), false);
+  inst.skewed[2] = inst.skewed[3] = true;  // shared link "2-3", both ways
+  inst.skew_lo = 0.5;
+  auto lbn = te::build_path_network(inst.topo, inst.commodities, inst.t_max,
+                                    kNetworkLabels);
+  mark_skewed_links(lbn, inst);
   // Sinks (met/unmet) + link nodes + per-commodity source + path nodes.
   int paths = 0;
   for (const auto& c : inst.commodities) paths += static_cast<int>(c.paths.size());
@@ -209,9 +216,33 @@ TEST(LbNetwork, StructureAndFlowMapping) {
   const auto problems = lbn.net.validate();
   EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems[0]);
 
-  const std::vector<double> x{80.0, 40.0};
+  // LB's labels, byte for byte: a regression to DP's words fails here.
+  const auto& net = lbn.net;
+  EXPECT_EQ(net.name(), "wcmp_load_balancing");
+  EXPECT_TRUE(net.find_node("met_traffic").valid());
+  EXPECT_TRUE(net.find_node("unmet_traffic").valid());
+  EXPECT_FALSE(net.find_node("met_demand").valid());
+  const auto& src = net.node(lbn.demand_nodes[0]);
+  EXPECT_EQ(src.name, "traffic_2~>3");
+  EXPECT_EQ(src.metadata.at("kind"), "commodity");
+  EXPECT_EQ(src.metadata.at("pair"), "2~>3");
+  const auto& via = net.edge(lbn.path_edges[0][1]);
+  EXPECT_EQ(via.name, "2~>3 via 2-4-3");
+  EXPECT_EQ(via.metadata.at("kind"), "commodity_path");
+  EXPECT_EQ(via.metadata.at("shortest"), "no");
+  for (int l = 0; l < inst.topo.num_links(); ++l) {
+    const char* mark = inst.skewed[l] ? "yes" : "no";
+    const auto& cap = net.edge(lbn.link_edges[l]);
+    EXPECT_EQ(cap.metadata.at("kind"), "link_capacity");
+    EXPECT_EQ(cap.metadata.at("skewed"), mark) << "link " << l;
+    EXPECT_EQ(net.nodes()[cap.from].metadata.at("skewed"), mark)
+        << "link " << l;
+  }
+
+  const std::vector<double> x{80.0, 40.0, 0.75};
   const auto res = wcmp_split(inst, x);
-  const auto flows = lb_network_flows(lbn, inst, x, res.flow);
+  const auto flows =
+      te::path_network_flows(lbn, inst.topo, inst.commodities, x, res.flow);
   ASSERT_EQ(static_cast<int>(flows.size()), lbn.net.num_edges());
   // Unmet edges carry offered - routed.
   for (int k = 0; k < inst.num_commodities(); ++k)
@@ -219,4 +250,34 @@ TEST(LbNetwork, StructureAndFlowMapping) {
   // Link edges aggregate the per-path loads.
   for (int l = 0; l < inst.topo.num_links(); ++l)
     EXPECT_NEAR(flows[lbn.link_edges[l].v], res.link_load[l], 1e-9);
+}
+
+TEST(LbOptimalSolver, GoldenOnFatTree4Case) {
+  // LbOptimalSolver's totals bitwise and its LP work exactly on the
+  // registry default instance: any change to the LP it hands the solver
+  // (structure, rhs, options, reference basis) moves one of these.  The
+  // counter delta spans construction, pinning the reference cold solve.
+  const auto lb_case = cases::LbCase::fat_tree4();
+  const LbInstance& inst = lb_case->instance();
+  const auto before = solver::lp_counters();
+  LbOptimalSolver opt(inst);
+  util::Rng rng(47);
+  std::vector<double> lo(inst.input_dim(), 0.0);
+  std::vector<double> hi(inst.input_dim(), inst.t_max);
+  lo.back() = inst.skew_lo;
+  hi.back() = inst.skew_hi;
+  std::vector<double> totals;
+  for (int it = 0; it < 8; ++it)
+    totals.push_back(opt.solve_total(rng.uniform_point(lo, hi)));
+  const auto delta = solver::lp_counters() - before;
+  const std::vector<double> want = {
+      0x1.65bd8a6d0ad8p+8,  0x1.8fd492f33657cp+8, 0x1.9ebbf8fcd81fap+8,
+      0x1.2d9e519adf635p+8, 0x1.4f347aead2f85p+8, 0x1.164b843a12a2ap+8,
+      0x1.ad1f19c89e1bbp+8, 0x1.0cae0186c8637p+8};
+  ASSERT_EQ(totals.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(totals[i], want[i]) << "total " << i;  // bitwise
+  EXPECT_EQ(delta.solves, 9);
+  EXPECT_EQ(delta.iterations, 41);
+  EXPECT_EQ(delta.columns_priced, 528);
 }

@@ -4,6 +4,7 @@
 // how many worker threads are building scenarios concurrently.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "scenario/scenario.h"
@@ -246,6 +247,43 @@ TEST(Scenario, SpecJsonRoundTripsByteForByte) {
         << text;
     EXPECT_NE(err.find("must be a whole number"), std::string::npos) << text;
   }
+  // And so are values the generators cannot build; the error names the
+  // field.
+  const std::pair<const char*, const char*> unbuildable[] = {
+      {R"({"kind":"fat_tree","size":-4})", "size"},
+      {R"({"kind":"fat_tree","size":5})", "size"},
+      {R"({"kind":"fat_tree","size":0})", "size"},
+      {R"({"size":3})", "size"},  // kind defaults to fat_tree
+      {R"({"kind":"line","size":0})", "size"},
+      {R"({"kind":"star","size":1})", "size"},
+      {R"({"kind":"line","size":4,"failed_links":-3})", "failed_links"},
+      {R"({"kind":"line","capacity":-50})", "capacity"},
+      {R"({"kind":"line","capacity":0})", "capacity"},
+      {R"({"kind":"line","capacity_degradation":0})", "capacity_degradation"},
+      {R"({"kind":"line","capacity_degradation":1.5})",
+       "capacity_degradation"},
+      {R"({"kind":"waxman","size":8,"waxman_alpha":0})", "waxman_alpha"},
+      {R"({"kind":"waxman","size":8,"waxman_beta":-0.1})", "waxman_beta"},
+  };
+  for (const auto& [text, field] : unbuildable) {
+    const auto parsed_bad = util::Json::parse(text);
+    ASSERT_TRUE(parsed_bad.has_value()) << text;
+    err.clear();
+    EXPECT_FALSE(spec_from_json(*parsed_bad, &err).has_value()) << text;
+    EXPECT_NE(err.find(std::string("\"") + field + "\""), std::string::npos)
+        << text << ": " << err;
+  }
+  // The smallest buildable values still parse.
+  for (const char* text :
+       {R"({"kind":"fat_tree","size":2})", R"({"kind":"line","size":2})",
+        R"({"kind":"star","size":2,"failed_links":0,)"
+        R"("capacity_degradation":1})"}) {
+    EXPECT_TRUE(spec_from_json(*util::Json::parse(text)).has_value()) << text;
+  }
+  // Every spec the committed corpora carry is accepted.
+  for (const auto& corpus_spec : default_corpus())
+    EXPECT_TRUE(spec_from_json(spec_to_json(corpus_spec)).has_value())
+        << corpus_spec.display_name();
 }
 
 TEST(Scenario, DefaultCorpusCoversAllShapes) {

@@ -845,6 +845,38 @@ TEST(Service, ProtocolRejectsOutOfRangeIntegersBeforeEnqueueing) {
   EXPECT_EQ(events[3].find("cache_entries")->as_str(), "0");
 }
 
+TEST(Service, ProtocolRejectsUnbuildableScenariosBeforeEnqueueing) {
+  // A negative fat-tree arity, a zero-node line and negative failure /
+  // capacity fields all once ran and were cached as ok; each is now one
+  // error event naming the field, and nothing is enqueued or cached.
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  const auto submit = [](const char* cases, const char* scenario) {
+    return std::string(R"({"op":"submit","id":1,"spec":{"cases":[")") +
+           cases + R"("],"scenarios":[)" + scenario + "]}}\n";
+  };
+  const auto events = serve_lines(
+      svc, submit("wcmp", R"({"kind":"fat_tree","size":-4})") +
+               submit("first_fit", R"({"kind":"line","size":0})") +
+               submit("wcmp", R"({"kind":"line","size":4,"failed_links":-3,)"
+                              R"("capacity":-50})") +
+               R"({"op":"stats"})" "\n");
+  ASSERT_EQ(events.size(), 4u);
+  const char* fields[] = {"size", "size", "failed_links"};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(event_kind(events[i]), "error");
+    const util::Json* msg = events[i].find("message");
+    ASSERT_NE(msg, nullptr);
+    EXPECT_NE(msg->as_str().find(std::string("\"") + fields[i] + "\""),
+              std::string::npos)
+        << msg->as_str();
+  }
+  EXPECT_EQ(event_kind(events[3]), "stats");
+  EXPECT_EQ(events[3].find("jobs_submitted")->as_str(), "0");
+  EXPECT_EQ(events[3].find("cache_entries")->as_str(), "0");
+}
+
 TEST(Service, ProtocolDiscardsOverlongLineThenServesStats) {
   // A 2 MiB line is dropped as it streams in and answered with one error
   // event; the next request is served normally.

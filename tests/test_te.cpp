@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "flowgraph/compiler.h"
+#include "scenario/scenario.h"
+#include "solver/lp.h"
 #include "te/demand_pinning.h"
 #include "te/maxflow.h"
 #include "util/random.h"
@@ -283,7 +285,7 @@ TEST(DpNetwork, FlowMappingIsConsistent) {
   auto dp = build_dp_network(inst);
   std::vector<double> d = {50, 100, 100};
   auto sim = run_demand_pinning(inst, DpConfig{50.0}, d);
-  auto flows = dp_network_flows(dp, inst, d, sim.flow);
+  auto flows = path_network_flows(dp, inst.topo, inst.pairs, d, sim.flow);
   ASSERT_EQ(static_cast<int>(flows.size()), dp.net.num_edges());
   // Pinned 1~>3 flow appears on its shortest-path demand edge.
   EXPECT_NEAR(flows[dp.path_edges[0][0].v], 50.0, 1e-9);
@@ -291,4 +293,92 @@ TEST(DpNetwork, FlowMappingIsConsistent) {
   double unmet = 0;
   for (auto e : dp.unmet_edges) unmet += flows[e.v];
   EXPECT_NEAR(unmet, (d[0] + d[1] + d[2]) - sim.total, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Goldens: MaxFlowSolver's totals bitwise and its LP work exactly.  Any
+// change to the LP it builds (column or row order, coefficients, rhs,
+// simplex options, reference basis) moves at least one of these.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct SolverGolden {
+  std::vector<double> totals;
+  long solves = 0;
+  long iterations = 0;
+  long columns_priced = 0;
+};
+
+/// Builds a MaxFlowSolver on `inst` and runs 8 seeded inputs through it,
+/// each once plain and once with a seeded residual and skip set (the two
+/// solves dp_gap makes).  The counter delta spans construction too, so the
+/// reference-basis cold solve is pinned as well.
+SolverGolden run_max_flow_golden(const TeInstance& inst, std::uint64_t seed) {
+  SolverGolden g;
+  const auto before = xs::lp_counters();
+  MaxFlowSolver mf(inst);
+  xplain::util::Rng rng(seed);
+  for (int it = 0; it < 8; ++it) {
+    std::vector<double> d(inst.num_pairs());
+    for (auto& v : d) v = rng.uniform(0, inst.d_max);
+    std::vector<double> residual(inst.topo.num_links());
+    for (int l = 0; l < inst.topo.num_links(); ++l)
+      residual[l] = rng.uniform(0.2, 1.0) * inst.topo.link(LinkId{l}).capacity;
+    std::vector<bool> skip(inst.num_pairs());
+    for (int k = 0; k < inst.num_pairs(); ++k) skip[k] = rng.bernoulli(0.3);
+    g.totals.push_back(mf.solve(d).total);
+    g.totals.push_back(mf.solve(d, &residual, &skip).total);
+  }
+  const auto delta = xs::lp_counters() - before;
+  g.solves = delta.solves;
+  g.iterations = delta.iterations;
+  g.columns_priced = delta.columns_priced;
+  return g;
+}
+
+void expect_golden(const SolverGolden& got, const SolverGolden& want) {
+  ASSERT_EQ(got.totals.size(), want.totals.size());
+  for (std::size_t i = 0; i < want.totals.size(); ++i)
+    EXPECT_EQ(got.totals[i], want.totals[i]) << "total " << i;  // bitwise
+  EXPECT_EQ(got.solves, want.solves);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.columns_priced, want.columns_priced);
+}
+
+}  // namespace
+
+TEST(MaxFlowSolver, GoldenOnFig1a) {
+  SolverGolden want;
+  want.totals = {
+      0x1.7414586771e7cp+7, 0x1.a9f61f369ffafp+5, 0x1.6548184718588p+7,
+      0x1.fdbbaaeaec5aep+6, 0x1.f2c6eb3c3a5d6p+6, 0x1.4800dc94e88a6p+5,
+      0x1.33c60c9d1c14ep+7, 0x1.5f84064ec6a7p+6,  0x1.66e1919d17d4ap+7,
+      0x0p+0,               0x1.bd8c376b467adp+6, 0x1.2c8c412c43f1p+6,
+      0x1.950a67626971bp+5, 0x1.950a67626971bp+5, 0x1.3187f96e09972p+7,
+      0x1.a816e662991f4p+6};
+  want.solves = 17;
+  want.iterations = 24;
+  want.columns_priced = 80;
+  expect_golden(run_max_flow_golden(TeInstance::fig1a_example(), 41), want);
+}
+
+TEST(MaxFlowSolver, GoldenOnFatTree4) {
+  xplain::scenario::ScenarioSpec spec;
+  spec.kind = xplain::scenario::TopologyKind::kFatTree;
+  spec.size = 4;
+  const auto inst = xplain::scenario::make_te_instance(
+      spec, /*num_pairs=*/6, /*k_paths=*/2, /*d_max=*/100.0);
+  SolverGolden want;
+  want.totals = {
+      0x1.76ec1a32db34fp+7, 0x1.06a6e194e4d98p+7, 0x1.014a54b38776cp+8,
+      0x1.e9f055a15e3b8p+6, 0x1.f976551924f82p+7, 0x1.18b0b4845b703p+7,
+      0x1.31a4bcb38819fp+8, 0x1.9eef68c17ee03p+7, 0x1.d0d3e0477668ep+7,
+      0x1.18897cb2f85a1p+7, 0x1.cea62bda8329p+7,  0x1.cadf5a2c339dep+6,
+      0x1.35dc26b024372p+8, 0x1.0e47a5fc69fb9p+7, 0x1.0a1f039b2b635p+8,
+      0x1.f56733735ea1fp+4};
+  want.solves = 17;
+  want.iterations = 45;
+  want.columns_priced = 276;
+  expect_golden(run_max_flow_golden(inst, 43), want);
 }
