@@ -41,12 +41,6 @@ class CallbackStream {
   const Engine::JobCallback& cb_ XPLAIN_GUARDED_BY(mu_);
 };
 
-int count_significant(const PipelineResult& r) {
-  int n = 0;
-  for (const auto& s : r.subspaces) n += s.significant;
-  return n;
-}
-
 // The job digest's LP counters (LpCounterField::in_digest): the digest is
 // the server's cached wire format, so every copy, comparison, serializer
 // and parser below goes through these three and the key set never moves.
@@ -236,7 +230,7 @@ JobSummary make_job_summary(const JobResult& j) {
   s.ok = j.ok;
   s.error = j.error;
   s.subspaces = static_cast<int>(j.pipeline.subspaces.size());
-  s.significant = count_significant(j.pipeline);
+  s.significant = j.pipeline.significant_count();
   s.best_gap_found = j.pipeline.best_gap_found;
   s.max_seed_gap = j.pipeline.max_gap();
   s.gap_scale = j.pipeline.gap_scale;

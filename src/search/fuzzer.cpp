@@ -44,12 +44,6 @@ std::vector<ScenarioSpec> builtin_seed_corpus() {
   return seeds;
 }
 
-int count_significant(const PipelineResult& r) {
-  int n = 0;
-  for (const auto& s : r.subspaces) n += s.significant;
-  return n;
-}
-
 /// One (cases x scenarios) probe or deep grid.  reseed_jobs stays OFF: a
 /// job's result must be a pure function of (case, spec, options) — not its
 /// grid position — or the committed archive could not be replayed exactly.
@@ -178,7 +172,7 @@ FuzzResult run_fuzzer(const FuzzerOptions& opts) {
       ++out.stats.deep_runs;
       out.stats.evals += static_cast<int>(deep.jobs.size());
       const JobResult& dj = deep.jobs.front();
-      if (!dj.ok || count_significant(dj.pipeline) < 1) continue;
+      if (!dj.ok || dj.pipeline.significant_count() < 1) continue;
       const double dscale =
           dj.pipeline.gap_scale > 0 ? dj.pipeline.gap_scale : 1.0;
       Discovery d = s.d;

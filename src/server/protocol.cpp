@@ -1,5 +1,7 @@
 #include "server/protocol.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -191,12 +193,24 @@ void handle_submit(Service& service, const Json& req, std::ostream& out) {
     emit_error(out, id, err);
     return;
   }
+  // The grid size Engine::expand would produce, counted without building
+  // it.  Each factor is an array parsed from one request line, so below
+  // 2^20, and the product fits in 64 bits.
+  const std::uint64_t jobs =
+      std::uint64_t{spec.cases.size()} *
+      std::max<std::uint64_t>(1, spec.scenarios.size()) *
+      std::max<std::uint64_t>(1, spec.option_variants.size());
+  if (jobs > kMaxGridJobs) {
+    emit_error(out, id,
+               "submit grid has " + std::to_string(jobs) +
+                   " jobs; the limit is " + std::to_string(kMaxGridJobs));
+    return;
+  }
   {
     Json a = Json::object();
     a.set("event", "accepted");
     if (id) a.set("id", *id);
-    a.set("jobs",
-          static_cast<double>(Engine().expand(spec).size()));
+    a.set("jobs", static_cast<double>(jobs));
     emit(out, a);
   }
   // The callback runs on worker threads, serialized per submission; the

@@ -15,12 +15,13 @@
 //
 // Stats counters are decimal strings (exact past 2^53 — see stats_json).
 // A line that is not a JSON object (malformed, or nested deeper than the
-// parser accepts), is longer than kMaxRequestBytes, or holds an integer
-// field that is fractional or out of its type's range gets an error event
-// and the loop goes on; nothing from such a line is enqueued or cached.
+// parser accepts), is longer than kMaxRequestBytes, holds an integer field
+// that is fractional or out of its type's range, or asks for a grid of
+// more than kMaxGridJobs jobs gets an error event and the loop goes on;
+// nothing from such a line is enqueued or cached.
 //
 // Requests are processed sequentially (the job-level parallelism lives in
-// the service's resident worker pool, sized by XPLAIN_WORKERS or one per
+// the service's resident worker threads, sized by XPLAIN_WORKERS or one per
 // hardware thread); "id" is echoed verbatim so clients can correlate.
 //
 // The spec object mirrors xplain::ExperimentSpec: cases (array of registry
@@ -46,6 +47,11 @@ namespace xplain::server {
 /// they arrive (the line is never held whole) and the line is answered
 /// with one error event.
 inline constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
+/// Most jobs one submit request may ask for (cases x scenarios x
+/// option_variants).  A bigger grid is answered with one error event
+/// before anything is expanded, enqueued or cached.
+inline constexpr std::size_t kMaxGridJobs = 4096;
 
 /// Answers requests read from `in` with events written to `out`, one line
 /// each, until EOF or a shutdown request.  Leaves the service running (the

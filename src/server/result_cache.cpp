@@ -100,13 +100,11 @@ ResultCache::Outcome ResultCache::lookup_or_claim(const std::string& key,
     }
     // In flight on another worker.  A key that keeps getting abandoned is
     // poisoned: fail fast instead of convoying behind the prober.
-    if (opts_.fail_fast_after > 0) {
-      auto fc = fail_counts_.find(key);
-      if (fc != fail_counts_.end() && fc->second >= opts_.fail_fast_after) {
-        ++fast_fails_;
-        mu_.unlock();
-        return Outcome::kFastFail;
-      }
+    if (auto fc = fail_counts_.find(key);
+        fc != fail_counts_.end() && fc->second >= kFailFastAfter) {
+      ++fast_fails_;
+      mu_.unlock();
+      return Outcome::kFastFail;
     }
     if (!counted_wait) {
       ++inflight_waits_;
@@ -143,7 +141,7 @@ void ResultCache::abandon(const std::string& key) {
     mu_.unlock();  // not claimed (or already handed off): nothing to release
     return;
   }
-  if (opts_.fail_fast_after > 0) ++fail_counts_[key];
+  ++fail_counts_[key];
   Entry& e = it->second;
   if (e.waiters > 0) {
     // Bounded claim inheritance: designate ONE waiter (directed notify) to

@@ -21,7 +21,7 @@
 // per-entry notify, not a herd wake-up): the inheritor returns kClaimed
 // and computes; the rest keep waiting on the inherited computation.
 // Failed jobs are never cached — a transient failure does not poison the
-// key — but a key abandoned `fail_fast_after` times IN A ROW is treated
+// key — but a key abandoned kFailFastAfter (3) times IN A ROW is treated
 // as poisoned: while a (single) prober recomputes it, other submitters
 // get kFastFail immediately instead of convoying behind a job that keeps
 // dying.  One success resets the key.  Deadlock-free because every
@@ -72,9 +72,6 @@ struct CacheOptions {
   std::size_t max_bytes = 0;
   /// Append-only journal replayed at construction; "" = no persistence.
   std::string journal_path;
-  /// Consecutive abandons of one key after which other submitters fast-fail
-  /// instead of waiting behind the (single) re-prober.  0 disables.
-  int fail_fast_after = 3;
 };
 
 class ResultCache {
@@ -94,6 +91,10 @@ class ResultCache {
     std::size_t entries = 0;  // ready entries resident right now
     std::size_t bytes = 0;    // their summed JSON sizes
   };
+
+  /// Consecutive abandons of one key after which other submitters fast-fail
+  /// instead of waiting behind the (single) re-prober.
+  static constexpr int kFailFastAfter = 3;
 
   enum class Outcome {
     kHit,       // *out filled from cache
@@ -116,7 +117,7 @@ class ResultCache {
   /// kHit: *out filled from the cached JSON.  kClaimed: (after waiting out
   /// any in-flight computation) the caller owns the key and MUST later call
   /// fulfill(key, ...) or abandon(key), or every future lookup of the key
-  /// blocks forever.  kFastFail: see CacheOptions::fail_fast_after.
+  /// blocks forever.  kFastFail: see kFailFastAfter.
   Outcome lookup_or_claim(const std::string& key, JobSummary* out)
       XPLAIN_EXCLUDES(mu_);
 

@@ -14,7 +14,6 @@ CacheOptions cache_options(const ServiceOptions& o) {
   CacheOptions c;
   c.max_bytes = o.cache_max_bytes;
   c.journal_path = o.cache_path;
-  c.fail_fast_after = o.cache_fail_fast_after;
   return c;
 }
 
@@ -22,16 +21,19 @@ CacheOptions cache_options(const ServiceOptions& o) {
 
 Service::Service(const ServiceOptions& opts, CaseRegistry& reg)
     : pool_size_(std::max(1, util::resolve_workers(opts.workers))),
-      queue_(opts.queue_capacity),
       cache_(cache_options(opts)),
       cases_(reg) {
-  // The pool starts last: by the time a worker can run, every other member
-  // is constructed.
-  pool_ = std::make_unique<WorkerPool>(
-      &queue_, pool_size_, opts.batch_size,
-      [this](const QueuedJob& q, int worker) { run_job(q, worker); });
-  XPLAIN_INFO << "service: " << pool_size_ << " resident workers, queue "
-              << queue_.capacity() << ", batch " << opts.batch_size;
+  // The workers start last: by the time one can run, every other member is
+  // constructed.
+  workers_.reserve(pool_size_);
+  try {
+    for (int w = 0; w < pool_size_; ++w)
+      workers_.emplace_back([this] { work(); });
+  } catch (...) {
+    shutdown();  // joins the threads that did start before members die
+    throw;
+  }
+  XPLAIN_INFO << "service: " << pool_size_ << " resident workers";
 }
 
 Service::~Service() { shutdown(); }
@@ -53,25 +55,15 @@ std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
     if (!accepting_) return kRejected;
     sub->id = next_id_++;
     submissions_[sub->id] = sub;
-    // Counted under the same lock as the accept check: once drain() sees
-    // accepting_ == false, every accepted job is already in pending_jobs_.
+    // Enqueued and counted under the same lock as the accept check: once
+    // drain() sees accepting_ == false, every accepted job is already in
+    // queue_ and pending_jobs_.
+    for (int i = 0; i < n; ++i) queue_.push_back({sub->id, i});
     pending_jobs_ += n;
     ++submissions_total_;
     jobs_submitted_ += n;
   }
-  for (int i = 0; i < n; ++i) {
-    if (queue_.push({sub->id, i})) continue;
-    // Unreachable in the sanctioned lifecycle (shutdown() drains before
-    // closing the queue, and drain waits for these very jobs) — but a lost
-    // job must never strand wait(), so fail it loudly instead.
-    JobSummary s;
-    s.case_name = sub->jobs[i].case_name;
-    s.scenario = sub->jobs[i].scenario ? sub->jobs[i].scenario->display_name()
-                                       : std::string();
-    s.index = i;
-    s.error = "service shut down before the job could be enqueued";
-    deliver(*sub, i, s, /*from_cache=*/false);
-  }
+  work_cv_.notify_all();
   return sub->id;
 }
 
@@ -122,12 +114,17 @@ void Service::drain() {
 }
 
 void Service::shutdown() {
-  // Sequentially idempotent: drain re-checks pending (0), close and join
-  // are no-ops the second time, compaction rewrites an already-compact
-  // journal in place.
+  // Sequentially idempotent: drain re-checks pending (0), the join loop
+  // finds no threads the second time, compaction rewrites an
+  // already-compact journal in place.
   drain();
-  queue_.close();
-  pool_->join();
+  {
+    util::MutexLock lock(&mu_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& t : workers_) t.join();
+  workers_.clear();
   // With every worker joined the cache is quiescent: rewrite the journal
   // to exactly the resident entries (drops tombstones and superseded
   // lines) so the next startup replays a minimal file.
@@ -157,8 +154,22 @@ ServiceStats Service::stats() const {
   return s;
 }
 
-void Service::run_job(const QueuedJob& q, int worker) {
-  (void)worker;  // per-worker batching state lives in WorkerPool
+void Service::work() {
+  for (;;) {
+    mu_.lock();
+    while (queue_.empty() && !stopping_) work_cv_.wait(mu_);
+    if (queue_.empty()) {  // stopping_, and nothing left to run
+      mu_.unlock();
+      return;
+    }
+    const QueuedJob q = queue_.front();
+    queue_.pop_front();
+    mu_.unlock();
+    run_job(q);
+  }
+}
+
+void Service::run_job(const QueuedJob& q) {
   std::shared_ptr<Submission> sub;
   {
     util::MutexLock lock(&mu_);
@@ -167,7 +178,7 @@ void Service::run_job(const QueuedJob& q, int worker) {
     sub = it->second;                      // after the last delivery
   }
   // The identical pure derivation Engine::run uses: content depends on
-  // (spec, index) only, never on worker or batch placement.
+  // (spec, index) only, never on which worker runs it or when.
   GridJob g = make_grid_job(sub->spec, sub->jobs[q.index]);
   const ExperimentJob& job = g.result.job;
   const std::string key = ResultCache::key(

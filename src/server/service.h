@@ -3,12 +3,15 @@
 // The paper's pipeline explains one study per process; the ROADMAP
 // north-star serves a query STREAM.  Service keeps Engine's job path
 // resident: submit() expands an ExperimentSpec grid into jobs (the same
-// Engine::expand order), enqueues them on the bounded JobQueue, and a
-// persistent WorkerPool runs each through run_grid_job (engine/grid_job.h),
-// the very path Engine::run takes — so every job's content is the same
-// pure function of (spec, index), bitwise identical for any pool size and
-// unaffected by concurrent unrelated jobs (the thread-inclusive
-// solver::lp_counters keep each job's LP tallies exact).
+// Engine::expand order) and appends one (submission, index) descriptor per
+// job to a FIFO deque; the service's own resident threads pop one job at a
+// time and run it through run_grid_job (engine/grid_job.h), the very path
+// Engine::run takes — so every job's content is the same pure function of
+// (spec, index), bitwise identical for any pool size and unaffected by
+// concurrent unrelated jobs (the thread-inclusive solver::lp_counters keep
+// each job's LP tallies exact).  A job costs from a fraction of a
+// millisecond (cache hit) to tens of milliseconds (miss), so one lock per
+// job is all the scheduling it needs.
 //
 // Results dedup through the content-addressed ResultCache: a job whose
 // (case, scenario.cache_key(), options fingerprint, seed) was already
@@ -26,9 +29,15 @@
 // submission's lock).
 //
 // Lifecycle: drain() stops intake and blocks until every accepted job has
-// finished (workers stay up); shutdown() drains, closes the queue, and
-// joins the pool.  The destructor shuts down.  Submissions after drain are
+// finished (workers stay up); shutdown() drains, stops the workers, and
+// joins them.  The destructor shuts down.  Submissions after drain are
 // rejected (submit returns kRejected).
+//
+// LP accounting caveat (solver/lp.h): the workers are hand-rolled threads,
+// so their thread-local solver tallies reach the process-wide retired
+// totals only when they EXIT (shutdown's join).  Per-job deltas measured
+// inside a job are still exact; process-level deltas across a service are
+// exact only after shutdown.
 //
 // Hardening: the shared job path turns a throwing case build or pipeline
 // into a failed job that is still delivered, and every cache claim is held
@@ -42,18 +51,18 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "engine/engine.h"
 #include "engine/grid_job.h"
-#include "server/job_queue.h"
 #include "server/result_cache.h"
-#include "server/worker_pool.h"
 #include "util/thread_annotations.h"
 #include "util/timer.h"
 #include "xplain/case.h"
@@ -64,10 +73,6 @@ struct ServiceOptions {
   /// Worker threads; <= 0 resolves via util::resolve_workers (one per
   /// hardware thread unless XPLAIN_WORKERS overrides).
   int workers = 0;
-  /// Job-queue bound (backpressure: submit blocks when full).
-  std::size_t queue_capacity = 256;
-  /// Jobs per rxloop batch dequeue.
-  std::size_t batch_size = 4;
   /// Result-cache high-water mark in summed JSON bytes; fulfills past it
   /// evict least-recently-served entries.  0 = unbounded (the pre-eviction
   /// behavior).
@@ -76,9 +81,6 @@ struct ServiceOptions {
   /// "" = in-memory only.  A restarted service serves the prior working
   /// set byte-for-byte from this file with zero new LP solves.
   std::string cache_path;
-  /// Consecutive failures of one cache key before other submitters
-  /// fast-fail instead of queuing behind the re-prober; 0 disables.
-  int cache_fail_fast_after = 3;
 };
 
 struct ServiceStats {
@@ -93,7 +95,7 @@ struct ServiceStats {
   long cache_misses = 0;
   long cache_inflight_waits = 0;
   /// Submissions answered with an immediate failure because the key was
-  /// repeatedly abandoned (ServiceOptions::cache_fail_fast_after).
+  /// repeatedly abandoned (ResultCache::kFailFastAfter times in a row).
   long cache_fast_fails = 0;
   /// Ready entries evicted by the cache_max_bytes LRU policy.
   long cache_evictions = 0;
@@ -126,8 +128,8 @@ class Service {
   static constexpr std::uint64_t kRejected = 0;
 
   /// Enqueues the spec's full grid; returns a handle for wait(), or
-  /// kRejected after drain()/shutdown().  Blocks only for queue
-  /// backpressure.  The spec's `workers` field is ignored (the pool is the
+  /// kRejected after drain()/shutdown().  Never blocks on the jobs
+  /// themselves.  The spec's `workers` field is ignored (the pool is the
   /// service's); everything else — including reseed_jobs, run_generalizer,
   /// grammar — behaves exactly as in Engine::run.
   std::uint64_t submit(const ExperimentSpec& spec, JobCallback on_job = {})
@@ -147,7 +149,7 @@ class Service {
   /// stay resident (more submissions are still rejected).
   void drain() XPLAIN_EXCLUDES(mu_);
 
-  /// drain() + close the queue + join the pool.  Idempotent.
+  /// drain() + stop and join the workers.  Idempotent.
   void shutdown() XPLAIN_EXCLUDES(mu_);
 
   ServiceStats stats() const XPLAIN_EXCLUDES(mu_);
@@ -171,21 +173,34 @@ class Service {
     double wall_seconds XPLAIN_GUARDED_BY(mu) = 0.0;
   };
 
-  void run_job(const QueuedJob& q, int worker);
+  /// One unit of queued work: which submission, which cell of its grid.
+  struct QueuedJob {
+    std::uint64_t submission = 0;
+    int index = 0;
+  };
+
+  /// A resident worker: pops jobs in FIFO order until shutdown() stops it
+  /// and the queue is empty.
+  void work() XPLAIN_EXCLUDES(mu_);
+  void run_job(const QueuedJob& q) XPLAIN_EXCLUDES(mu_);
   void deliver(Submission& sub, int index, const JobSummary& s,
                bool from_cache) XPLAIN_EXCLUDES(mu_);
 
   const int pool_size_;
-  JobQueue queue_;
   ResultCache cache_;
   /// Unplanned, hence resident: each (case, scenario) instance is built
   /// once per service lifetime and never evicted.
   CaseMemo cases_;
-  std::unique_ptr<WorkerPool> pool_;  // constructed last, joined first
 
   mutable util::Mutex mu_;
+  /// condition_variable_any: the std:: condvar only accepts a raw
+  /// std::mutex, which xplain_lint bans (invisible to -Wthread-safety);
+  /// util::Mutex is BasicLockable, which the _any variant works with.
   std::condition_variable_any idle_cv_;  // pending_jobs_ hit 0
+  std::condition_variable_any work_cv_;  // queue_ grew, or stopping_ set
+  std::deque<QueuedJob> queue_ XPLAIN_GUARDED_BY(mu_);
   bool accepting_ XPLAIN_GUARDED_BY(mu_) = true;
+  bool stopping_ XPLAIN_GUARDED_BY(mu_) = false;
   std::uint64_t next_id_ XPLAIN_GUARDED_BY(mu_) = 1;
   std::map<std::uint64_t, std::shared_ptr<Submission>> submissions_
       XPLAIN_GUARDED_BY(mu_);
@@ -195,6 +210,10 @@ class Service {
   long jobs_completed_ XPLAIN_GUARDED_BY(mu_) = 0;
   long jobs_failed_ XPLAIN_GUARDED_BY(mu_) = 0;
   long duplicate_deliveries_ XPLAIN_GUARDED_BY(mu_) = 0;
+  /// Started last in the constructor (every member above is ready by the
+  /// time a worker runs); joined once, by shutdown().  Only the thread
+  /// that constructs and shuts down the service touches this vector.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace xplain::server

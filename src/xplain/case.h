@@ -104,23 +104,11 @@ class CaseRegistry {
                }));
   }
 
-  /// The default-configured case for `name`, built lazily and cached;
-  /// nullptr when unknown.  The cache is keyed by (name, scenario), so
-  /// scenario-built cases can never be handed out as the default (or vice
-  /// versa).
+  /// The default-configured case for `name`, built lazily and cached for
+  /// the process lifetime; nullptr when unknown.  Scenario-built cases are
+  /// never cached here: build them with create(name, spec) (Engine and
+  /// Service memoize those per job grid / per service through CaseMemo).
   std::shared_ptr<const HeuristicCase> find(const std::string& name)
-      XPLAIN_EXCLUDES(mu_);
-
-  /// The `spec`-configured case for `name`, built lazily and cached under
-  /// (name, spec.cache_key()); nullptr when the name is unknown or the
-  /// case cannot construct itself from a scenario.  The cache is never
-  /// evicted: each distinct spec retains its built case (topology,
-  /// prebuilt LP structures) for the process lifetime, so this suits a
-  /// small set of specs consulted repeatedly — when sweeping a large
-  /// one-shot grid, use create(name, spec) instead (fresh, unretained;
-  /// Engine::run does exactly that for its scenario cells).
-  std::shared_ptr<const HeuristicCase> find(const std::string& name,
-                                            const scenario::ScenarioSpec& spec)
       XPLAIN_EXCLUDES(mu_);
 
   /// A fresh, uncached default instance; nullptr when unknown.
@@ -137,18 +125,14 @@ class CaseRegistry {
   std::vector<std::string> names() const XPLAIN_EXCLUDES(mu_);
 
  private:
-  std::shared_ptr<const HeuristicCase> find_keyed(
-      const std::string& name, const scenario::ScenarioSpec* spec)
-      XPLAIN_EXCLUDES(mu_);
   /// Factory lookup shared by the create() overloads; empty when unknown.
   Factory factory_for(const std::string& name) const XPLAIN_EXCLUDES(mu_);
 
   mutable util::Mutex mu_;
   std::map<std::string, Factory> factories_ XPLAIN_GUARDED_BY(mu_);
-  /// Keyed by (registry name, spec cache key; "" = the default instance).
-  std::map<std::pair<std::string, std::string>,
-           std::shared_ptr<const HeuristicCase>>
-      cache_ XPLAIN_GUARDED_BY(mu_);
+  /// Default instances by registry name.
+  std::map<std::string, std::shared_ptr<const HeuristicCase>> cache_
+      XPLAIN_GUARDED_BY(mu_);
 };
 
 /// The process-wide registry the built-in cases register into.

@@ -104,6 +104,12 @@ double PipelineResult::max_gap() const {
   return g;
 }
 
+int PipelineResult::significant_count() const {
+  int n = 0;
+  for (const auto& s : subspaces) n += s.significant;
+  return n;
+}
+
 PipelineResult run_pipeline(const analyzer::GapEvaluator& eval,
                             analyzer::HeuristicAnalyzer& an,
                             const flowgraph::FlowNetwork& net,

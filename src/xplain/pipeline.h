@@ -91,6 +91,8 @@ struct PipelineResult {
 
   /// Largest seed gap across *validated* subspaces (0 when none).
   double max_gap() const;
+  /// Number of subspaces that passed the significance test.
+  int significant_count() const;
 };
 
 /// Offsets every RNG stream in `opts` by `salt` — the one place that knows

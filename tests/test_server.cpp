@@ -1,13 +1,13 @@
-// Resident explanation service: job-queue FIFO/close/backpressure
-// semantics, result-cache round-trip + in-flight dedup + LRU eviction +
-// journal persistence + claim handoff/fast-fail, and the Service
-// acceptance criteria — a repeated submission is served bitwise identical
-// from cache with ZERO new LP work, results match Engine::run for any pool
-// size, drain-under-load neither loses nor duplicates a job, a throwing
+// Resident explanation service: result-cache round-trip + in-flight dedup
+// + LRU eviction + journal persistence + claim handoff/fast-fail, and the
+// Service acceptance criteria — a repeated submission is served bitwise
+// identical from cache with ZERO new LP work, results match Engine::run
+// for any pool size, jobs run in submit order, drain-under-load with
+// concurrent submitters neither loses nor duplicates a job, a throwing
 // case build strands no claimant, a restarted service replays the
 // journaled working set with zero new LP work, and the xplaind request
-// loop survives a hostile line.  Runs under TSan in CI with
-// XPLAIN_WORKERS=4 (and the persistence cases under ASan).
+// loop survives hostile lines (oversized grids included).  Runs under
+// TSan in CI with XPLAIN_WORKERS=4 (and the persistence cases under ASan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,17 +21,15 @@
 
 #include "engine/engine.h"
 #include "scenario/spec.h"
-#include "server/job_queue.h"
 #include "server/protocol.h"
 #include "server/result_cache.h"
 #include "server/service.h"
 #include "solver/lp.h"
 #include "util/json.h"
+#include "util/thread_annotations.h"
 
 using namespace xplain;
 using server::CacheOptions;
-using server::JobQueue;
-using server::QueuedJob;
 using server::ResultCache;
 using server::Service;
 using server::ServiceOptions;
@@ -91,62 +89,6 @@ ExperimentSummary scrub_wall(ExperimentSummary s) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------- JobQueue
-
-TEST(JobQueue, FifoAcrossBatchDequeues) {
-  JobQueue q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push({1, i}));
-  EXPECT_EQ(q.size(), 5u);
-
-  // pop_batch clears the (reusable per-worker) output vector each call.
-  std::vector<QueuedJob> batch;
-  ASSERT_EQ(q.pop_batch(&batch, 2), 2u);
-  EXPECT_EQ(batch[0].index, 0);
-  EXPECT_EQ(batch[1].index, 1);
-  ASSERT_EQ(q.pop_batch(&batch, 8), 3u);  // drains the rest
-  ASSERT_EQ(batch.size(), 3u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(batch[i].index, 2 + i) << "slot " << i;
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(JobQueue, CloseDrainsThenSignalsEnd) {
-  JobQueue q(4);
-  ASSERT_TRUE(q.push({1, 0}));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push({1, 1})) << "push after close must be refused";
-
-  // Residual jobs still drain; only then does pop_batch report the end.
-  std::vector<QueuedJob> batch;
-  ASSERT_EQ(q.pop_batch(&batch, 4), 1u);
-  EXPECT_EQ(batch[0].index, 0);
-  EXPECT_EQ(q.pop_batch(&batch, 4), 0u);
-}
-
-TEST(JobQueue, BackpressureProducerUnblocksOnConsumeOrClose) {
-  JobQueue q(1);
-  ASSERT_TRUE(q.push({1, 0}));  // full
-
-  std::atomic<int> second_push{-1};  // -1 pending, 1 accepted, 0 refused
-  std::thread producer(
-      [&] { second_push.store(q.push({1, 1}) ? 1 : 0); });
-  std::vector<QueuedJob> batch;
-  ASSERT_EQ(q.pop_batch(&batch, 1), 1u);  // frees the slot
-  producer.join();
-  EXPECT_EQ(second_push.load(), 1);
-  ASSERT_EQ(q.pop_batch(&batch, 1), 1u);
-  EXPECT_EQ(batch[0].index, 1);
-
-  // A producer stuck on a full queue is released (with failure) by close.
-  ASSERT_TRUE(q.push({1, 2}));
-  std::atomic<int> third_push{-1};
-  std::thread blocked(
-      [&] { third_push.store(q.push({1, 3}) ? 1 : 0); });
-  q.close();
-  blocked.join();
-  EXPECT_EQ(third_push.load(), 0);
-}
 
 // -------------------------------------------------------------- ResultCache
 
@@ -380,12 +322,10 @@ TEST(ResultCache, AbandonHandsTheClaimToExactlyOneWaiter) {
 }
 
 TEST(ResultCache, RepeatedAbandonsFastFailOtherClaimants) {
-  CacheOptions co;
-  co.fail_fast_after = 3;
-  ResultCache cache(co);
+  ResultCache cache;
   const std::string key = ResultCache::key("c", "s", "pf", 1);
   JobSummary out;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < ResultCache::kFailFastAfter; ++i) {
     ASSERT_EQ(cache.lookup_or_claim(key, &out), Outcome::kClaimed) << i;
     cache.abandon(key);
   }
@@ -600,37 +540,85 @@ TEST(Service, MatchesEngineBitwiseForAnyPoolSize) {
   }
 }
 
+TEST(Service, JobsRunInSubmitOrder) {
+  // One worker, held in a gate job's callback until two further
+  // submissions are queued behind it: it must then run every job of the
+  // first before any of the second, each in grid order.  Unknown cases
+  // fail at once, so the jobs cost nothing to run.
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  const auto spec_of = [](const std::string& name) {
+    ExperimentSpec spec;
+    spec.cases = {name};
+    spec.scenarios = {line(3), line(4), line(5), line(6)};
+    return spec;
+  };
+  std::atomic<bool> queued{false};
+  const std::uint64_t gate =
+      svc.submit(spec_of("fifo_gate"), [&queued](const JobSummary&, bool) {
+        while (!queued.load()) std::this_thread::yield();
+      });
+  ASSERT_NE(gate, Service::kRejected);
+
+  util::Mutex mu;
+  std::vector<std::string> order;  // guarded by mu
+  const auto record = [&mu, &order](const JobSummary& j, bool) {
+    util::MutexLock lock(&mu);
+    order.push_back(j.case_name + "#" + std::to_string(j.index));
+  };
+  const std::uint64_t first = svc.submit(spec_of("fifo_first"), record);
+  const std::uint64_t second = svc.submit(spec_of("fifo_second"), record);
+  ASSERT_NE(first, Service::kRejected);
+  ASSERT_NE(second, Service::kRejected);
+  queued.store(true);
+  svc.wait(gate);
+  svc.wait(first);
+  svc.wait(second);
+
+  std::vector<std::string> expected;
+  for (const char* name : {"fifo_first", "fifo_second"})
+    for (int i = 0; i < 4; ++i)
+      expected.push_back(std::string(name) + "#" + std::to_string(i));
+  util::MutexLock lock(&mu);
+  EXPECT_EQ(order, expected);
+}
+
 TEST(Service, DrainUnderLoadLosesAndDuplicatesNothing) {
   ServiceOptions o;
   o.workers = 4;
-  o.queue_capacity = 4;  // small bound: submit exercises backpressure
-  o.batch_size = 2;
   Service svc(o);
 
   // Three submissions with distinct experiment seeds: distinct content
   // (reseed_jobs salts every job from spec.seed), so the cache cannot
-  // collapse the load away.
+  // collapse the load away.  They are submitted from three threads at
+  // once, so the queue sees concurrent producers.
   const int kSubs = 3;
-  std::vector<std::uint64_t> ids;
+  const int jobs_per_sub =
+      static_cast<int>(Engine().expand(small_grid()).size());
+  std::vector<std::uint64_t> ids(kSubs, Service::kRejected);
   // Per-slot delivery tallies.  Writes happen in the callback (serialized
   // under the submission's lock); the reads below happen only after
   // drain() returns, which orders after every delivery via the service
   // mutex — plain ints are TSan-clean here.
-  std::vector<std::vector<int>> delivered(kSubs);
-  int jobs_per_sub = 0;
+  std::vector<std::vector<int>> delivered(
+      kSubs, std::vector<int>(jobs_per_sub, 0));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> submitters;
   for (int s = 0; s < kSubs; ++s) {
-    ExperimentSpec spec = small_grid();
-    spec.seed = 1000 + s;
-    jobs_per_sub = static_cast<int>(Engine().expand(spec).size());
-    auto& counts = delivered[s];
-    counts.assign(jobs_per_sub, 0);
-    const std::uint64_t id =
-        svc.submit(spec, [&counts](const JobSummary& j, bool) {
-          ++counts[j.index];
-        });
-    ASSERT_NE(id, Service::kRejected);
-    ids.push_back(id);
+    submitters.emplace_back([&, s] {
+      ExperimentSpec spec = small_grid();
+      spec.seed = 1000 + s;
+      auto& counts = delivered[s];
+      while (!go.load()) std::this_thread::yield();
+      ids[s] = svc.submit(spec, [&counts](const JobSummary& j, bool) {
+        ++counts[j.index];
+      });
+    });
   }
+  go.store(true);
+  for (std::thread& t : submitters) t.join();
+  for (int s = 0; s < kSubs; ++s) ASSERT_NE(ids[s], Service::kRejected);
 
   // Drain while the grids are in flight: it must block until every
   // accepted job is delivered, then reject new intake.
@@ -875,6 +863,75 @@ TEST(Service, ProtocolRejectsUnbuildableScenariosBeforeEnqueueing) {
   EXPECT_EQ(event_kind(events[3]), "stats");
   EXPECT_EQ(events[3].find("jobs_submitted")->as_str(), "0");
   EXPECT_EQ(events[3].find("cache_entries")->as_str(), "0");
+}
+
+namespace {
+
+/// A submit line whose grid crosses `cases` copies of `case_name` with
+/// `scenarios` default scenarios and `variants` default option variants.
+std::string grid_submit(const char* case_name, int cases, int scenarios,
+                        int variants) {
+  const auto list = [](int n, const std::string& item) {
+    std::string out = "[";
+    for (int i = 0; i < n; ++i) out += (i ? "," : "") + item;
+    return out + "]";
+  };
+  return R"({"op":"submit","id":1,"spec":{"cases":)" +
+         list(cases, std::string("\"") + case_name + "\"") +
+         R"(,"scenarios":)" + list(scenarios, "{}") +
+         R"(,"option_variants":)" + list(variants, "{}") + "}}\n";
+}
+
+}  // namespace
+
+TEST(Service, ProtocolRejectsOversizedGridsBeforeExpanding) {
+  // 20000^3 = 8e12 jobs: expanding that grid once asked for more than 2^47
+  // bytes and aborted xplaind with std::bad_alloc.  It is now counted, not
+  // built, and answered with one error event; so is a grid one job over
+  // the limit (17 x 241 = 4097).
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  const std::string huge = grid_submit("a", 20000, 20000, 20000);
+  ASSERT_LE(huge.size(), server::kMaxRequestBytes);
+  const auto events = serve_lines(
+      svc, huge + grid_submit("a", 17, 241, 1) + R"({"op":"stats"})" "\n");
+  ASSERT_EQ(events.size(), 3u);
+  const char* counts[] = {"8000000000000", "4097"};
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(event_kind(events[i]), "error");
+    const std::string msg = events[i].find("message")->as_str();
+    EXPECT_NE(msg.find(counts[i]), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(server::kMaxGridJobs)),
+              std::string::npos)
+        << msg;
+  }
+  EXPECT_EQ(event_kind(events[2]), "stats");
+  EXPECT_EQ(events[2].find("submissions")->as_str(), "0");
+  EXPECT_EQ(events[2].find("jobs_submitted")->as_str(), "0");
+  EXPECT_EQ(events[2].find("cache_entries")->as_str(), "0");
+}
+
+TEST(Service, ProtocolAcceptsAGridOfExactlyTheLimit) {
+  // 1 unknown case x 64 scenarios x 64 variants = kMaxGridJobs jobs, each
+  // failing at once without building anything.
+  ServiceOptions o;
+  o.workers = 2;
+  Service svc(o);
+  const auto events =
+      serve_lines(svc, grid_submit("no_such_case", 1, 64, 64) +
+                           R"({"op":"stats"})" "\n");
+  ASSERT_EQ(events.size(), server::kMaxGridJobs + 3);
+  EXPECT_EQ(event_kind(events.front()), "accepted");
+  EXPECT_EQ(events.front().find("jobs")->as_num(), 4096.0);
+  for (std::size_t i = 1; i <= server::kMaxGridJobs; ++i)
+    ASSERT_EQ(event_kind(events[i]), "job") << i;
+  EXPECT_EQ(event_kind(events[server::kMaxGridJobs + 1]), "done");
+  const util::Json& stats = events.back();
+  EXPECT_EQ(event_kind(stats), "stats");
+  EXPECT_EQ(stats.find("jobs_submitted")->as_str(), "4096");
+  EXPECT_EQ(stats.find("jobs_failed")->as_str(), "4096");
+  EXPECT_EQ(stats.find("cache_entries")->as_str(), "0");
 }
 
 TEST(Service, ProtocolDiscardsOverlongLineThenServesStats) {
