@@ -270,6 +270,12 @@ ExperimentSummary ExperimentResult::summary() const {
   return out;
 }
 
+std::uint64_t ExperimentSpec::job_count() const {
+  return std::uint64_t{cases.size()} *
+         std::max<std::uint64_t>(1, scenarios.size()) *
+         std::max<std::uint64_t>(1, option_variants.size());
+}
+
 std::vector<ExperimentJob> Engine::expand(const ExperimentSpec& spec) const {
   // Variants are the INNERMOST axis so derived_job_options can recover the
   // variant as index % n_variants without seeing the job list.
@@ -277,9 +283,7 @@ std::vector<ExperimentJob> Engine::expand(const ExperimentSpec& spec) const {
       std::max(1, static_cast<int>(spec.option_variants.size()));
   const bool has_variants = !spec.option_variants.empty();
   std::vector<ExperimentJob> jobs;
-  jobs.reserve(spec.cases.size() *
-               std::max<std::size_t>(1, spec.scenarios.size()) *
-               static_cast<std::size_t>(n_variants));
+  jobs.reserve(static_cast<std::size_t>(spec.job_count()));
   const auto push_cell = [&](const std::string& name,
                              const scenario::ScenarioSpec* scen) {
     for (int v = 0; v < n_variants; ++v) {

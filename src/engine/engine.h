@@ -86,6 +86,10 @@ struct ExperimentSpec {
   generalize::GrammarOptions grammar;
   /// Normalize per-job gaps by the case's gap_scale() before mining.
   bool normalize_gap = true;
+
+  /// Number of jobs Engine::expand yields for this spec, counted without
+  /// building them: cases x max(1, scenarios) x max(1, option_variants).
+  std::uint64_t job_count() const;
 };
 
 /// One cell of the expanded grid.

@@ -1,6 +1,5 @@
 #include "server/protocol.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <optional>
@@ -193,13 +192,9 @@ void handle_submit(Service& service, const Json& req, std::ostream& out) {
     emit_error(out, id, err);
     return;
   }
-  // The grid size Engine::expand would produce, counted without building
-  // it.  Each factor is an array parsed from one request line, so below
-  // 2^20, and the product fits in 64 bits.
-  const std::uint64_t jobs =
-      std::uint64_t{spec.cases.size()} *
-      std::max<std::uint64_t>(1, spec.scenarios.size()) *
-      std::max<std::uint64_t>(1, spec.option_variants.size());
+  // Counted without building the grid.  Each factor is an array parsed
+  // from one request line, so below 2^20, and the product fits in 64 bits.
+  const std::uint64_t jobs = spec.job_count();
   if (jobs > kMaxGridJobs) {
     emit_error(out, id,
                "submit grid has " + std::to_string(jobs) +

@@ -82,6 +82,17 @@ TEST(CaseRegistry, ScenarioBuiltCasesNeverPoisonTheDefaultCache) {
   const auto fresh = registry().create("demand_pinning", spec);
   ASSERT_NE(fresh, nullptr);
   EXPECT_NE(fresh.get(), scenario_built.get());
+
+  // Specs whose human-readable name() collides (capacity is not part of
+  // the label) still get distinct cache keys, which CaseMemo and the
+  // service's result cache are keyed by.
+  auto other = line_spec(6);
+  other.capacity = 55.0;
+  ASSERT_EQ(other.name(), spec.name());
+  ASSERT_NE(other.cache_key(), spec.cache_key());
+  const auto other_built = registry().create("demand_pinning", other);
+  ASSERT_NE(other_built, nullptr);
+  EXPECT_NE(other_built.get(), scenario_built.get());
 }
 
 TEST(CaseRegistry, AllBuiltInCasesBuildFromScenarios) {

@@ -569,9 +569,11 @@ TEST(Service, JobsRunInSubmitOrder) {
   };
   const std::uint64_t first = svc.submit(spec_of("fifo_first"), record);
   const std::uint64_t second = svc.submit(spec_of("fifo_second"), record);
+  // Open the gate before any assertion can return: ~Service drains, and
+  // would wait forever on a gate callback that is still spinning.
+  queued.store(true);
   ASSERT_NE(first, Service::kRejected);
   ASSERT_NE(second, Service::kRejected);
-  queued.store(true);
   svc.wait(gate);
   svc.wait(first);
   svc.wait(second);
