@@ -4,8 +4,9 @@
 // the SAME instance every time; with thousands of samples per pipeline
 // stage, rebuilding the LpProblem per call was pure front-end overhead.
 // Each thread keeps one prebuilt Solver per live evaluator identity: the
-// structure is built once, every sample's solves just move row rhs and
-// warm-start from the solver's fixed reference basis.  Keyed by a
+// structure is built and the reference basis factorized once (the
+// te::MaxFlowSolver inside holds a solver::RhsSession), every sample's
+// solves just move row rhs and restore that factorization.  Keyed by a
 // process-unique id rather than the evaluator pointer so a recycled
 // allocation can never alias a dead evaluator's cache entry; one slot per
 // Solver type is enough because sampling stages drive one evaluator at a

@@ -28,7 +28,7 @@ te::TeInstance make_dp_family_instance(const DpFamilyParams& params) {
       te::TeInstance::make(topo, pairs, /*k_paths=*/2, params.d_max);
   // Cross demands route only on their direct link (as in Fig. 1a).
   for (std::size_t k = 1; k < inst.pairs.size(); ++k)
-    inst.pairs[k].paths.resize(1);
+    inst.pairs[k].keep_paths(1);
   return inst;
 }
 

@@ -9,10 +9,10 @@ namespace xplain::lb {
 
 namespace {
 
-double bottleneck(const te::Topology& topo, const te::Path& path,
+double bottleneck(const std::vector<te::LinkId>& links,
                   const std::vector<double>& residual) {
   double b = 1e300;
-  for (te::LinkId l : path.links(topo)) b = std::min(b, residual[l.v]);
+  for (te::LinkId l : links) b = std::min(b, residual[l.v]);
   return std::max(0.0, b);
 }
 
@@ -28,17 +28,17 @@ WcmpResult wcmp_split(const LbInstance& inst, const std::vector<double>& x) {
 
   std::vector<double> weight;
   for (int k = 0; k < K; ++k) {
-    const auto& paths = inst.commodities[k].paths;
-    res.flow[k].assign(paths.size(), 0.0);
+    const auto& links = inst.commodities[k].path_links;
+    res.flow[k].assign(links.size(), 0.0);
     const double demand = std::max(0.0, x[k]);
     if (demand <= 0.0) continue;
 
     // Local view: weight each candidate path by the residual headroom of
     // its bottleneck link, as left behind by the commodities before us.
-    weight.assign(paths.size(), 0.0);
+    weight.assign(links.size(), 0.0);
     double total_weight = 0.0;
-    for (std::size_t p = 0; p < paths.size(); ++p) {
-      weight[p] = bottleneck(inst.topo, paths[p], residual);
+    for (std::size_t p = 0; p < links.size(); ++p) {
+      weight[p] = bottleneck(links[p], residual);
       total_weight += weight[p];
     }
     if (total_weight <= 1e-12) {
@@ -50,14 +50,14 @@ WcmpResult wcmp_split(const LbInstance& inst, const std::vector<double>& x) {
     // clamped to what still fits at send time.  Paths sharing a link eat
     // each other's headroom — the local decision the optimal avoids.
     double routed = 0.0;
-    for (std::size_t p = 0; p < paths.size(); ++p) {
+    for (std::size_t p = 0; p < links.size(); ++p) {
       const double desired = demand * weight[p] / total_weight;
-      const double fits = bottleneck(inst.topo, paths[p], residual);
+      const double fits = bottleneck(links[p], residual);
       const double f = std::min(desired, fits);
       if (f <= 0.0) continue;
       res.flow[k][p] = f;
       routed += f;
-      for (te::LinkId l : paths[p].links(inst.topo)) residual[l.v] -= f;
+      for (te::LinkId l : links[p]) residual[l.v] -= f;
     }
     res.unmet[k] = demand - routed;
     res.total += routed;

@@ -201,23 +201,27 @@ void handle_submit(Service& service, const Json& req, std::ostream& out) {
                    " jobs; the limit is " + std::to_string(kMaxGridJobs));
     return;
   }
-  {
-    Json a = Json::object();
-    a.set("event", "accepted");
-    if (id) a.set("id", *id);
-    a.set("jobs", static_cast<double>(jobs));
-    emit(out, a);
-  }
-  // The callback runs on worker threads, serialized per submission; the
-  // main thread blocks in wait() meanwhile, so stdout has one writer.
+  // `accepted` is written by the service once it has decided to take the
+  // submission, before any job can run: a rejected submit gets only its
+  // error, and job events never precede `accepted`.  The job callback runs
+  // on worker threads, serialized per submission; the main thread blocks
+  // in wait() meanwhile, so stdout has one writer.
   const std::uint64_t handle = service.submit(
-      spec, [id, &out](const JobSummary& s, bool from_cache) {
+      spec,
+      [id, &out](const JobSummary& s, bool from_cache) {
         Json e = Json::object();
         e.set("event", "job");
         if (id) e.set("id", *id);
         e.set("cached", from_cache);
         e.set("job", s.to_json_value());
         emit(out, e);
+      },
+      [id, jobs, &out] {
+        Json a = Json::object();
+        a.set("event", "accepted");
+        if (id) a.set("id", *id);
+        a.set("jobs", static_cast<double>(jobs));
+        emit(out, a);
       });
   if (handle == Service::kRejected) {
     emit_error(out, id, "service is draining; submission rejected");

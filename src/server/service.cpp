@@ -38,7 +38,8 @@ Service::Service(const ServiceOptions& opts, CaseRegistry& reg)
 
 Service::~Service() { shutdown(); }
 
-std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
+std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job,
+                              const std::function<void()>& on_accepted) {
   auto sub = std::make_shared<Submission>();
   sub->spec = spec;
   sub->jobs = Engine(cases_.registry()).expand(spec);
@@ -53,6 +54,7 @@ std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
   {
     util::MutexLock lock(&mu_);
     if (!accepting_) return kRejected;
+    if (on_accepted) on_accepted();
     sub->id = next_id_++;
     submissions_[sub->id] = sub;
     // Enqueued and counted under the same lock as the accept check: once

@@ -131,8 +131,13 @@ class Service {
   /// kRejected after drain()/shutdown().  Never blocks on the jobs
   /// themselves.  The spec's `workers` field is ignored (the pool is the
   /// service's); everything else — including reseed_jobs, run_generalizer,
-  /// grammar — behaves exactly as in Engine::run.
-  std::uint64_t submit(const ExperimentSpec& spec, JobCallback on_job = {})
+  /// grammar — behaves exactly as in Engine::run.  `on_accepted` runs once
+  /// if the submission is accepted (never on kRejected), under the accept
+  /// lock and before any of its jobs can start, so what it writes precedes
+  /// every on_job call of the submission; it must not call back into the
+  /// service.
+  std::uint64_t submit(const ExperimentSpec& spec, JobCallback on_job = {},
+                       const std::function<void()>& on_accepted = {})
       XPLAIN_EXCLUDES(mu_);
 
   /// Blocks until every job of `id` finished; returns the submission's

@@ -137,25 +137,27 @@ struct LpSolution {
   long iterations = 0;
   /// Successful basis refactorizations performed during the solve
   /// (meaningful on kOptimal; diagnostic for the SimplexOptions refactor
-  /// triggers).
+  /// triggers).  An RhsSession's restore of its reference factors counts
+  /// as one: it installs exactly what refactorizing that basis builds, so
+  /// a session solve reports what the matching solve_lp call does.
   long refactorizations = 0;
   /// Optimal basis (populated on kOptimal); feed back into solve_lp as a
   /// warm start after bound tightenings.
   Basis basis;
 };
 
-/// LP accounting, incremented by every solve_lp call.  Counters are
-/// *thread-inclusive*: each thread accumulates its own solves without
-/// synchronization and flushes them to a process-wide retired total when it
-/// exits, so on any thread the delta of lp_counters() across a region is
-/// exactly the work performed by that thread plus any worker pools it
-/// joined inside the region (util::parallel_chunks hands each worker's
-/// tallies to the spawning thread at join).  That makes per-job deltas
-/// exact even under concurrent Engine workers, and process-wide totals
-/// exact whenever no pool is mid-flight.  The one limitation: a thread
-/// never sees work still in flight on a thread it did not spawn through
-/// parallel_chunks — e.g. a hand-rolled std::thread's tallies reach the
-/// retired total (and other threads' view) only when that thread exits.
+/// LP accounting, incremented by every solve_lp and RhsSession::solve call.
+/// Counters are *thread-inclusive*: each thread accumulates its own solves
+/// without synchronization and flushes them to a process-wide retired total
+/// when it exits, so on any thread the delta of lp_counters() across a region
+/// is exactly the work performed by that thread plus any worker pools it joined
+/// inside the region (util::parallel_chunks hands each worker's tallies to the
+/// spawning thread at join).  That makes per-job deltas exact even under
+/// concurrent Engine workers, and process-wide totals exact whenever no pool is
+/// mid-flight.  The one limitation: a thread never sees work still in flight on
+/// a thread it did not spawn through parallel_chunks — e.g. a hand-rolled
+/// std::thread's tallies reach the retired total (and other threads' view) only
+/// when that thread exits.
 ///
 /// The one record of LP work: every layer that holds, sums, compares or
 /// reports it walks kLpCounterFields instead of naming fields, so adding a
@@ -171,6 +173,14 @@ struct LpCounters {
   /// Partial-pricing candidate-bucket refills (each one is a full scan;
   /// zero under pricing=dantzig).
   long candidate_refills = 0;
+  /// Sparse LU factorizations of a basis (cold starts, warm installs,
+  /// periodic and rejected-update refactorizations).  An RhsSession solve
+  /// restores its reference factors instead, so this falls far below
+  /// `solves` on the rhs-resampling paths.
+  long factorizations = 0;
+  /// Standardized-problem (CSC) builds: one per solve_lp call, one per
+  /// RhsSession over its whole life.
+  long csc_builds = 0;
 };
 
 /// One LpCounters field: report key, member, and whether the job digest
@@ -190,6 +200,8 @@ inline constexpr LpCounterField kLpCounterFields[] = {
     {"lp_warm_solves", &LpCounters::warm_solves, false},
     {"lp_columns_priced", &LpCounters::columns_priced, true},
     {"lp_candidate_refills", &LpCounters::candidate_refills, true},
+    {"lp_factorizations", &LpCounters::factorizations, false},
+    {"lp_csc_builds", &LpCounters::csc_builds, false},
 };
 inline constexpr std::size_t kNumLpCounters = std::size(kLpCounterFields);
 static_assert(kNumLpCounters * sizeof(long) == sizeof(LpCounters),

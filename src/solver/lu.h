@@ -45,7 +45,70 @@
 
 namespace xplain::solver {
 
-class LuFactorization {
+/// The factor state of an LuFactorization: L, U with its dynamic
+/// triangular order and row adjacency, the update files and their
+/// counters — everything a solve reads and an update writes, and none of
+/// the scratch.  Copying it is a checkpoint (LuFactorization::save /
+/// restore): an rhs-only solve session restores the reference basis's
+/// factors instead of refactorizing them, and the restored factors are
+/// bitwise the ones factorize() built.
+class LuFactors {
+ protected:
+  int m_ = 0;
+
+  // Update mode published by the last factorize() (see configure()).
+  bool ft_active_ = false;
+
+  // L: unit lower triangular, stored by pivot step; entries are multipliers
+  // (the implicit 1.0 pivot entry is not stored) with ORIGINAL row indices
+  // (pinv_ maps original row -> pivot step).  Static across updates.
+  std::vector<int> lp_, li_;
+  std::vector<double> lx_;
+  // U, stored by column in step space; entries' indices are steps EARLIER
+  // in the dynamic triangular order, the diagonal is udiag_.  Column k
+  // occupies ui_/ux_[ucolp_[k] .. ucolp_[k] + ulen_[k]); Forrest-Tomlin
+  // spikes append fresh slices at the end (the stale slice is abandoned
+  // until the next refactorization, which rebuilds the arrays anyway).
+  std::vector<int> ui_;
+  std::vector<double> ux_;
+  std::vector<int> ucolp_, ulen_;
+  std::vector<double> udiag_;
+  // Row adjacency of U: urows_[r] lists the column steps holding an entry
+  // at row step r (diagonal excluded) — drives both the FT row elimination
+  // and the hyper-sparse BTRAN reach.  Maintained across updates.
+  std::vector<std::vector<int>> urows_;
+  // Dynamic triangular order: uorder_[p] = step at position p,
+  // upos_ = its inverse.  Identity after factorize(); FT updates move the
+  // respiked step to the last position.
+  std::vector<int> uorder_, upos_;
+  std::vector<int> pivrow_;    // step -> original constraint row
+  std::vector<int> colorder_;  // step -> basis slot
+  std::vector<int> sinv_;      // basis slot -> step (inverse of colorder_)
+  std::vector<int> pinv_;      // original row -> step (-1 while factoring)
+
+  // Forrest-Tomlin row-eta file (step space): eta e eliminates row
+  // re_t_[e] with multipliers re_val_ against rows re_idx_ over
+  // [re_start_[e], re_start_[e+1]).  FTRAN applies them oldest-first
+  // between the L and U passes; BTRAN transposes them newest-first.
+  std::vector<int> re_start_{0};
+  std::vector<int> re_t_;
+  std::vector<int> re_idx_;
+  std::vector<double> re_val_;
+  // Product-form eta file (slot space; non-FT mode only), flat
+  // storage: eta e pivots slot eta_slot_[e] with pivot value eta_piv_[e]
+  // and off-pivot entries eta_idx_/eta_val_[eta_start_[e]..eta_start_[e+1]).
+  std::vector<int> eta_start_{0};
+  std::vector<int> eta_slot_;
+  std::vector<double> eta_piv_;
+  std::vector<int> eta_idx_;
+  std::vector<double> eta_val_;
+
+  int update_count_ = 0;
+  long update_nnz_ = 0;
+  long fnnz_ = 0;  // nnz(L) + nnz(U) + m as of the last factorize
+};
+
+class LuFactorization : private LuFactors {
  public:
   /// Chooses the update strategy for subsequent factorize() calls:
   /// `forrest_tomlin` selects FT updates over the product-form eta file.
@@ -90,6 +153,18 @@ class LuFactorization {
   /// Nonzeros in L + U (diagonal included) of the last factorization.
   long factor_nnz() const;
 
+  /// Copies the factor state (not the scratch) into `out`.
+  void save(LuFactors& out) const { out = *this; }
+  /// Reinstates factors saved from this object.  Everything factorize()
+  /// publishes comes back, so the next solve or update behaves exactly as
+  /// after the factorize() that built them.  The scratch needs no restore:
+  /// it is sized by the dimension, and the FT row accumulator and the
+  /// BTRAN reach marks return to all-zero after every use.
+  void restore(const LuFactors& in) {
+    LuFactors::operator=(in);
+    ftw_valid_ = false;
+  }
+
  private:
   bool ft_update(int leave_slot, const std::vector<double>& alpha);
   void push_eta(int leave_slot, const std::vector<double>& alpha);
@@ -99,67 +174,16 @@ class LuFactorization {
   int dfs(int row, int top, const std::vector<int>& lp,
           const std::vector<int>& li);
 
-  int m_ = 0;
-
-  // Mode requested by configure() / published by the last factorize().
+  // Mode requested by configure().
   bool cfg_ft_ = true;
-  bool ft_active_ = false;
 
-  // L: unit lower triangular, stored by pivot step; entries are multipliers
-  // (the implicit 1.0 pivot entry is not stored) with ORIGINAL row indices
-  // (pinv_ maps original row -> pivot step).  Static across updates.
-  std::vector<int> lp_, li_;
-  std::vector<double> lx_;
-  // U, stored by column in step space; entries' indices are steps EARLIER
-  // in the dynamic triangular order, the diagonal is udiag_.  Column k
-  // occupies ui_/ux_[ucolp_[k] .. ucolp_[k] + ulen_[k]); Forrest-Tomlin
-  // spikes append fresh slices at the end (the stale slice is abandoned
-  // until the next refactorization, which rebuilds the arrays anyway).
-  std::vector<int> ui_;
-  std::vector<double> ux_;
-  std::vector<int> ucolp_, ulen_;
-  std::vector<double> udiag_;
-  // Row adjacency of U: urows_[r] lists the column steps holding an entry
-  // at row step r (diagonal excluded) — drives both the FT row elimination
-  // and the hyper-sparse BTRAN reach.  Maintained across updates.
-  std::vector<std::vector<int>> urows_;
-  // Dynamic triangular order: uorder_[p] = step at position p,
-  // upos_ = its inverse.  Identity after factorize(); FT updates move the
-  // respiked step to the last position.
-  std::vector<int> uorder_, upos_;
-  std::vector<int> pivrow_;    // step -> original constraint row
-  std::vector<int> colorder_;  // step -> basis slot
-  std::vector<int> sinv_;      // basis slot -> step (inverse of colorder_)
-  std::vector<int> pinv_;      // original row -> step (-1 while factoring)
-
-  // Forrest-Tomlin row-eta file (step space): eta e eliminates row
-  // re_t_[e] with multipliers re_val_ against rows re_idx_ over
-  // [re_start_[e], re_start_[e+1]).  FTRAN applies them oldest-first
-  // between the L and U passes; BTRAN transposes them newest-first.
-  std::vector<int> re_start_{0};
-  std::vector<int> re_t_;
-  std::vector<int> re_idx_;
-  std::vector<double> re_val_;
   // Spike stash: ftran() records its step-space intermediate (after L and
   // row etas, before U) — exactly the respiked column of the next update.
   mutable std::vector<double> ftw_;
   mutable bool ftw_valid_ = false;
 
-  // Product-form eta file (slot space; non-FT mode only), flat
-  // storage: eta e pivots slot eta_slot_[e] with pivot value eta_piv_[e]
-  // and off-pivot entries eta_idx_/eta_val_[eta_start_[e]..eta_start_[e+1]).
-  std::vector<int> eta_start_{0};
-  std::vector<int> eta_slot_;
-  std::vector<double> eta_piv_;
-  std::vector<int> eta_idx_;
-  std::vector<double> eta_val_;
-
-  int update_count_ = 0;
-  long update_nnz_ = 0;
-  long fnnz_ = 0;  // nnz(L) + nnz(U) + m as of the last factorize
-
-  // Factorization / solve scratch (kept for capacity reuse; the solver is
-  // thread_local in solve_lp, so no sharing).
+  // Factorization / solve scratch (kept for capacity reuse; each
+  // RevisedSimplex owns its factorization, so no sharing).
   std::vector<int> border_, bpinv_, bpivrow_, bcolorder_;
   std::vector<int> blp_, bli_, bup_, bui_;
   std::vector<double> blx_, bux_, budiag_;

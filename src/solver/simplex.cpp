@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <climits>
 #include <cmath>
 #include <utility>
@@ -73,32 +74,52 @@ enum class VStat : std::uint8_t { kBasic, kAtLower, kAtUpper, kFree };
 /// refactorization whenever an update is numerically rejected.
 class RevisedSimplex {
  public:
-  /// Rebinds the solver to a problem.  Instances are reused (thread_local in
-  /// solve_lp) so the dozens of internal buffers keep their capacity across
-  /// the tiny back-to-back solves the sampling loops issue.
+  /// The state a warm install of one basis leaves behind, minus the basic
+  /// values (they depend on the rhs): the factors, the basis and every
+  /// variable's status and nonbasic value.  RhsSession restores it before
+  /// each solve instead of refactorizing.
+  struct Checkpoint {
+    LuFactors lu;
+    std::vector<int> basis;
+    std::vector<VStat> stat;
+    std::vector<double> x;
+  };
+
+  /// Binds the solver to a problem and builds its standardized form.
+  /// Instances are reused (thread_local in solve_lp, one per RhsSession)
+  /// so the dozens of internal buffers keep their capacity across
+  /// back-to-back solves.
   void reset(const LpProblem& p, const SimplexOptions& opts) {
     p_ = &p;
     opts_ = &opts;
-    iters_ = 0;
-    bland_ = false;
-    factorize_failed_ = false;
-    degen_run_ = 0;
-    scan_start_ = 0;
-    pivots_since_refactor_ = 0;
-    refactor_calls_ = 0;
-    update_calls_ = 0;
-    refactorizations_ = 0;
     build();
   }
 
-  LpSolution run(const Basis* warm);
+  /// Solves the bound problem from its current rhs: warm from `warm`, or
+  /// from `ref` (a checkpoint of this binding) when non-null, else cold.
+  LpSolution run(const Basis* warm, const Checkpoint* ref = nullptr);
+
+  /// Installs and factorizes `reference` into `out`; false when it cannot
+  /// serve as a warm start (mis-sized, singular or dual infeasible).  The
+  /// test-only failure hooks do not apply: the checkpoint is built once,
+  /// outside any solve.
+  bool checkpoint(const Basis& reference, Checkpoint& out);
+
+  /// Replaces the rhs (size m) for the next run().
+  void set_rhs(const std::vector<double>& rhs) {
+    b_.assign(rhs.begin(), rhs.end());
+  }
 
  private:
   enum class Step { kOptimal, kUnbounded, kLimit, kError };
 
   void build();
+  void drop_artificials();
   void add_artificial(int row, double sign);
+  bool injected_refactor_failure();
+  bool factor_basis();
   bool factorize();
+  bool restore(const Checkpoint& ref);
   bool should_refactor() const;
   void set_nonbasic_value(int j);
   void compute_basic_values();
@@ -118,6 +139,7 @@ class RevisedSimplex {
 
   Step primal(const std::vector<double>& cost, long budget);
   Step dual_repair(long budget);
+  bool install_statuses(const Basis& warm);
   bool warm_install(const Basis& warm);
   bool dual_feasible(const std::vector<double>& y) const;
 
@@ -169,6 +191,7 @@ class RevisedSimplex {
 };
 
 void RevisedSimplex::build() {
+  ++t_lp.csc_builds;
   m_ = p_->num_rows();
   nstruct_ = p_->num_cols();
   nreal_ = nstruct_ + m_;
@@ -223,6 +246,19 @@ void RevisedSimplex::build() {
   }
 }
 
+// Truncates the arrays a cold start's artificials extended back to the
+// built problem (structurals + slacks).
+void RevisedSimplex::drop_artificials() {
+  ntotal_ = nreal_;
+  cp_.resize(nreal_ + 1);
+  ci_.resize(cp_.back());
+  cx_.resize(cp_.back());
+  cost_.resize(nreal_);
+  lo_.resize(nreal_);
+  hi_.resize(nreal_);
+  art_row_.clear();
+}
+
 void RevisedSimplex::add_artificial(int row, double sign) {
   cp_.push_back(cp_.back() + 1);
   ci_.push_back(row);
@@ -236,18 +272,47 @@ void RevisedSimplex::add_artificial(int row, double sign) {
   ++ntotal_;
 }
 
-bool RevisedSimplex::factorize() {
+// Counts one refactorization attempt of the solve; true when the
+// test-only fail_refactor_at hook rejects it (see SimplexOptions).
+bool RevisedSimplex::injected_refactor_failure() {
   ++refactor_calls_;
-  if (opts_->fail_refactor_at > 0 && refactor_calls_ == opts_->fail_refactor_at)
-    return false;  // test-only injected failure (see SimplexOptions)
+  return opts_->fail_refactor_at > 0 &&
+         refactor_calls_ == opts_->fail_refactor_at;
+}
+
+// The LU work alone, without the solve's attempt accounting.
+bool RevisedSimplex::factor_basis() {
+  ++t_lp.factorizations;
   // Forrest-Tomlin vs product-form updates (see SimplexOptions).
   lu_.configure(opts_->ft_updates);
   // lu_.factorize builds into scratch and publishes on success only, so a
   // singular basis leaves the previous factorization (+ update file)
   // untouched.
-  if (!lu_.factorize(m_, cp_, ci_, cx_, basis_)) return false;
+  return lu_.factorize(m_, cp_, ci_, cx_, basis_);
+}
+
+bool RevisedSimplex::factorize() {
+  if (injected_refactor_failure() || !factor_basis()) return false;
   ++refactorizations_;
   pivots_since_refactor_ = 0;
+  return true;
+}
+
+// The session's stand-in for warm_install: the checkpointed factors are
+// bitwise the ones factorize() would build for the reference basis, so
+// the restore counts as that factorization (attempt and success alike)
+// and everything after it follows solve_lp's pivot path exactly.  Dual
+// feasibility was established when the checkpoint was taken; it does not
+// depend on the rhs.
+bool RevisedSimplex::restore(const Checkpoint& ref) {
+  if (injected_refactor_failure()) return false;
+  lu_.restore(ref.lu);
+  ++refactorizations_;
+  pivots_since_refactor_ = 0;
+  basis_ = ref.basis;
+  stat_ = ref.stat;
+  x_ = ref.x;
+  compute_basic_values();
   return true;
 }
 
@@ -624,7 +689,9 @@ RevisedSimplex::Step RevisedSimplex::dual_repair(long budget) {
   return Step::kLimit;
 }
 
-bool RevisedSimplex::warm_install(const Basis& warm) {
+// Takes `warm`'s basis and statuses, snapping nonbasic variables to the
+// current bounds; false when the basis does not fit the problem.
+bool RevisedSimplex::install_statuses(const Basis& warm) {
   if (static_cast<int>(warm.basic.size()) != m_ ||
       static_cast<int>(warm.at_upper.size()) != nreal_)
     return false;
@@ -656,12 +723,29 @@ bool RevisedSimplex::warm_install(const Basis& warm) {
     }
     set_nonbasic_value(j);
   }
-  if (!factorize()) return false;
+  return true;
+}
+
+bool RevisedSimplex::warm_install(const Basis& warm) {
+  if (!install_statuses(warm) || !factorize()) return false;
   compute_basic_values();
   btran_costs(cost_, y_);
   // Only repair from a dual-feasible basis: dual simplex verdicts
   // (infeasible = prune) are only trustworthy then.
   return dual_feasible(y_);
+}
+
+bool RevisedSimplex::checkpoint(const Basis& reference, Checkpoint& out) {
+  if (m_ == 0 || reference.empty() || !install_statuses(reference) ||
+      !factor_basis())
+    return false;
+  btran_costs(cost_, y_);
+  if (!dual_feasible(y_)) return false;
+  lu_.save(out.lu);
+  out.basis = basis_;
+  out.stat = stat_;
+  out.x = x_;
+  return true;
 }
 
 LpSolution RevisedSimplex::extract() {
@@ -703,8 +787,18 @@ void RevisedSimplex::export_basis(LpSolution& sol) const {
     sol.basis.at_upper[j] = (stat_[j] == VStat::kAtUpper) ? 1 : 0;
 }
 
-LpSolution RevisedSimplex::run(const Basis* warm) {
+LpSolution RevisedSimplex::run(const Basis* warm, const Checkpoint* ref) {
   ++t_lp.solves;
+  iters_ = 0;
+  bland_ = false;
+  factorize_failed_ = false;
+  degen_run_ = 0;
+  scan_start_ = 0;
+  pivots_since_refactor_ = 0;
+  refactor_calls_ = 0;
+  update_calls_ = 0;
+  refactorizations_ = 0;
+  drop_artificials();  // a previous run's cold start may have added some
   LpSolution sol;
 
   // Empty variable boxes decide infeasibility before any pivoting.
@@ -721,8 +815,8 @@ LpSolution RevisedSimplex::run(const Basis* warm) {
   // simplex.  Any failure — including a mid-run refactorization failure,
   // whose stale inverse makes every later verdict untrustworthy — falls
   // through to the cold start. ---
-  if (warm != nullptr && m_ > 0 && !warm->empty()) {
-    if (warm_install(*warm)) {
+  if (ref != nullptr || (warm != nullptr && m_ > 0 && !warm->empty())) {
+    if (ref != nullptr ? restore(*ref) : warm_install(*warm)) {
       ++t_lp.warm_solves;
       const Step ds = dual_repair(budget);
       if (ds == Step::kUnbounded && !factorize_failed_) {
@@ -759,15 +853,6 @@ LpSolution RevisedSimplex::run(const Basis* warm) {
   }
 
   // --- Cold start: slack basis; infeasible rows get artificials. ---
-  ntotal_ = nreal_;
-  cp_.resize(nreal_ + 1);
-  ci_.resize(cp_.back());
-  cx_.resize(cp_.back());
-  cost_.resize(nreal_);
-  lo_.resize(nreal_);
-  hi_.resize(nreal_);
-  art_row_.clear();
-
   basis_.resize(m_);
   stat_.assign(nreal_, VStat::kAtLower);
   x_.assign(nreal_, 0.0);
@@ -904,12 +989,49 @@ LpCounters lp_counters() {
 
 LpSolution solve_lp(const LpProblem& p, const SimplexOptions& opts,
                     const Basis* warm) {
-  // One reusable solver per thread: the sampling hot loops issue hundreds of
-  // thousands of tiny solves, and reusing the internal buffers removes every
-  // steady-state allocation (thread_local keeps the parallel stages safe).
+  // One reusable solver per thread: MILP nodes and the other one-shot
+  // callers issue many small solves, and reusing the internal buffers
+  // removes every steady-state allocation (thread_local keeps the parallel
+  // stages safe).  The rhs-resampling loops use RhsSession instead.
   thread_local RevisedSimplex solver;
   solver.reset(p, opts);
   return solver.run(warm);
 }
+
+// Heap-held so the solver's pointers to the problem and options survive a
+// move of the session.
+struct RhsSession::Impl {
+  LpProblem p;
+  SimplexOptions opts;
+  Basis reference;
+  RevisedSimplex solver;
+  RevisedSimplex::Checkpoint ref;
+  bool checkpointed = false;
+};
+
+RhsSession::RhsSession(LpProblem p, Basis reference,
+                       const SimplexOptions& opts)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->p = std::move(p);
+  impl_->opts = opts;
+  impl_->reference = std::move(reference);
+  impl_->solver.reset(impl_->p, impl_->opts);
+  impl_->checkpointed =
+      impl_->solver.checkpoint(impl_->reference, impl_->ref);
+}
+
+RhsSession::~RhsSession() = default;
+RhsSession::RhsSession(RhsSession&&) noexcept = default;
+RhsSession& RhsSession::operator=(RhsSession&&) noexcept = default;
+
+LpSolution RhsSession::solve(const std::vector<double>& rhs) {
+  Impl& s = *impl_;
+  assert(static_cast<int>(rhs.size()) == s.p.num_rows());
+  s.solver.set_rhs(rhs);
+  if (s.checkpointed) return s.solver.run(nullptr, &s.ref);
+  return s.solver.run(&s.reference);
+}
+
+const LpProblem& RhsSession::problem() const { return impl_->p; }
 
 }  // namespace xplain::solver

@@ -8,6 +8,10 @@
 // basis and, when bound tightenings broke primal feasibility, repair it
 // with a dual-simplex phase — the classic branch-and-bound re-solve, which
 // typically needs a handful of pivots instead of a from-scratch solve.
+// RhsSession serves the resampling loops, whose solves differ only in row
+// rhs: it keeps the standardized problem and the reference basis's LU
+// factors across solves and restores them instead of rebuilding and
+// refactorizing (a handful of pivots no longer pays for a factorization).
 //
 // Pricing is partial (candidate-list) by default with a full-scan
 // optimality proof — see PricingRule; small LPs (below
@@ -26,6 +30,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "solver/lp.h"
 
@@ -83,13 +89,16 @@ struct SimplexOptions {
   /// retained as a differential baseline and for A/B benches.
   bool ft_updates = true;
   /// Test-only failure injection: the Nth refactorization attempt of a
-  /// solve_lp call reports failure (1-based; 0 disables).  Exercises the
-  /// stale-representation fallbacks — warm solves restart cold, cold solves
-  /// report kError instead of an unverified optimum.
+  /// solve_lp (or RhsSession::solve) call reports failure (1-based; 0
+  /// disables).  Exercises the stale-representation fallbacks — warm solves
+  /// restart cold, cold solves report kError instead of an unverified
+  /// optimum.  An RhsSession's restore of its reference factors is that
+  /// solve's first attempt, as the warm install's factorization is in
+  /// solve_lp.
   int fail_refactor_at = 0;
   /// Test-only failure injection: the Nth basis-update attempt of a
-  /// solve_lp call is treated as rejected (1-based; 0 disables), forcing
-  /// the Forrest-Tomlin rejection -> refactorize path.
+  /// solve_lp (or RhsSession::solve) call is treated as rejected (1-based;
+  /// 0 disables), forcing the Forrest-Tomlin rejection -> refactorize path.
   int fail_update_at = 0;
   /// Skip computing row duals / exporting the optimal basis on kOptimal.
   /// Sampling-loop callers that use neither shave the extraction work from
@@ -108,14 +117,54 @@ struct SimplexOptions {
 /// problem with the *same structure* — identical columns and row
 /// coefficients; bounds AND row right-hand sides may differ.  (Bound moves
 /// are the branch-and-bound situation; rhs moves are the resampling
-/// situation, e.g. te::MaxFlowSolver.  Both only perturb primal
-/// feasibility, which the dual-simplex repair phase restores — dual
-/// feasibility of a basis never depends on bounds or rhs.)  The solver
-/// re-installs the basis, repairs, and falls back to a cold solve if the
-/// basis is stale or singular.  Warm starts never change the answer, only
-/// the path to it.
+/// situation, which RhsSession serves without the per-solve setup.  Both
+/// only perturb primal feasibility, which the dual-simplex repair phase
+/// restores — dual feasibility of a basis never depends on bounds or rhs.)
+/// The solver re-installs the basis (building the standardized problem and
+/// factorizing the basis afresh on every call), repairs, and falls back to
+/// a cold solve if the basis is stale or singular.  Warm starts never
+/// change the answer, only the path to it.
 LpSolution solve_lp(const LpProblem& p, const SimplexOptions& opts = {},
                     const Basis* warm = nullptr);
+
+/// Repeated solves of one LP in which only the row right-hand sides move,
+/// each warm-started from one fixed reference basis — the sampling loops'
+/// pattern (te::MaxFlowSolver).  The session owns the problem and a private
+/// solver: construction builds the standardized problem (CSC) once,
+/// factorizes the reference basis once, checks its dual feasibility once,
+/// and checkpoints the factors with the basis statuses.  Every solve then
+/// restores that checkpoint instead of rebuilding and refactorizing, runs
+/// one FTRAN for the basic values, and continues exactly as a warm
+/// solve_lp does (dual repair, primal, extraction, cold fallback).
+///
+/// solve(rhs) returns bitwise the LpSolution of
+/// solve_lp(problem-with-rhs, opts, &reference) — status, objective,
+/// values, iterations, refactorizations (the restore counts as the warm
+/// install's one) — and adds the same LpCounters, apart from
+/// `factorizations` and `csc_builds`, which count only the work actually
+/// done.  A reference that cannot be checkpointed (empty, mis-sized,
+/// singular or dual infeasible) makes every solve take solve_lp's own
+/// path, so the equality holds there too.  A solve is a pure function of
+/// its rhs: nothing carries over from the previous one.  Not thread-safe:
+/// one session per thread.
+class RhsSession {
+ public:
+  RhsSession(LpProblem p, Basis reference, const SimplexOptions& opts = {});
+  ~RhsSession();
+  RhsSession(RhsSession&&) noexcept;
+  RhsSession& operator=(RhsSession&&) noexcept;
+
+  /// Solves the problem with row i's right-hand side set to rhs[i]
+  /// (rhs.size() == problem().num_rows()).
+  LpSolution solve(const std::vector<double>& rhs);
+
+  /// The bound problem; its rows' rhs are the ones it was built with.
+  const LpProblem& problem() const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 /// The old dense two-phase tableau implementation, retained as a reference
 /// oracle for tests (exact but slow; no bounds handling beyond row

@@ -1,17 +1,28 @@
 #include "te/demand.h"
 
+#include <utility>
+
 namespace xplain::te {
+
+TePair TePair::make(const Topology& topo, int src, int dst,
+                    std::vector<Path> paths) {
+  TePair pair;
+  pair.src = src;
+  pair.dst = dst;
+  pair.paths = std::move(paths);
+  for (const Path& path : pair.paths)
+    pair.path_links.push_back(path.links(topo));
+  return pair;
+}
 
 std::vector<TePair> make_pairs(
     const Topology& topo, const std::vector<std::pair<int, int>>& endpoints,
     int k_paths) {
   std::vector<TePair> pairs;
   for (const auto& [s, t] : endpoints) {
-    TePair p;
-    p.src = s;
-    p.dst = t;
-    p.paths = k_shortest_paths(topo, s, t, k_paths);
-    if (!p.paths.empty()) pairs.push_back(std::move(p));
+    std::vector<Path> paths = k_shortest_paths(topo, s, t, k_paths);
+    if (!paths.empty())
+      pairs.push_back(TePair::make(topo, s, t, std::move(paths)));
   }
   return pairs;
 }
@@ -31,8 +42,8 @@ TeInstance TeInstance::fig1a_example() {
                          /*k_paths=*/2, /*d_max=*/100.0);
   // The paper's example gives only the 1~>3 demand an alternate path; 1~>2
   // and 2~>3 route solely on their direct links (Fig. 1a's table).
-  inst.pairs[1].paths.resize(1);
-  inst.pairs[2].paths.resize(1);
+  inst.pairs[1].keep_paths(1);
+  inst.pairs[2].keep_paths(1);
   return inst;
 }
 

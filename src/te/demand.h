@@ -16,6 +16,20 @@ struct TePair {
   int dst = -1;
   /// Candidate paths; paths[0] is the shortest (the pinning target).
   std::vector<Path> paths;
+  /// path_links[p] == paths[p].links(topo), resolved once when the pair is
+  /// made: the per-sample heuristics (WCMP, demand pinning) read these
+  /// instead of hashing every hop of every path on every sample.
+  std::vector<std::vector<LinkId>> path_links;
+
+  /// A pair over `paths`, with their links resolved in `topo`.
+  static TePair make(const Topology& topo, int src, int dst,
+                     std::vector<Path> paths);
+
+  /// Keeps the first n candidate paths (and their links).
+  void keep_paths(std::size_t n) {
+    paths.resize(n);
+    path_links.resize(n);
+  }
 
   std::string name() const {
     return std::to_string(src + 1) + "~>" + std::to_string(dst + 1);

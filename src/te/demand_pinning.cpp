@@ -23,7 +23,7 @@ DpResult run_demand_pinning(const TeInstance& inst, const DpConfig& cfg,
     res.pinned[k] = true;
     skip[k] = true;
     res.flow[k][0] = d[k];
-    for (LinkId l : inst.pairs[k].paths[0].links(inst.topo)) {
+    for (LinkId l : inst.pairs[k].path_links[0]) {
       residual[l.v] -= d[k];
       if (residual[l.v] < -1e-9) return res;  // pinning violates capacity
     }

@@ -13,10 +13,9 @@ std::vector<double> FlowResult::link_utilization(
   std::vector<double> util(inst.topo.num_links(), 0.0);
   for (int k = 0; k < inst.num_pairs(); ++k) {
     if (flow[k].empty()) continue;
-    for (std::size_t p = 0; p < inst.pairs[k].paths.size(); ++p) {
-      for (LinkId l : inst.pairs[k].paths[p].links(inst.topo))
-        util[l.v] += flow[k][p];
-    }
+    const auto& paths = inst.pairs[k].path_links;
+    for (std::size_t p = 0; p < paths.size(); ++p)
+      for (LinkId l : paths[p]) util[l.v] += flow[k][p];
   }
   return util;
 }
@@ -77,6 +76,21 @@ solver::SimplexOptions sample_solve_options() {
   return sopts;
 }
 
+/// Binds `lp` to a session whose reference basis is its own cold optimum
+/// (at the rhs it was built with — the center of the input box: uniform
+/// sampling concentrates there, so the repair distance from the reference
+/// to a typical sample is small).  Fixed, so results never depend on
+/// which samples this thread solved before.  A failed reference solve
+/// leaves the basis empty, and every solve then starts cold.
+solver::RhsSession reference_session(solver::LpProblem lp) {
+  solver::SimplexOptions sopts;
+  sopts.want_duals = false;
+  auto ref = solver::solve_lp(lp, sopts);
+  if (ref.status != solver::Status::kOptimal) ref.basis = {};
+  return solver::RhsSession(std::move(lp), std::move(ref.basis),
+                            sample_solve_options());
+}
+
 }  // namespace
 
 FlowResult solve_max_flow(const TeInstance& inst, const std::vector<double>& d,
@@ -107,7 +121,17 @@ MaxFlowSolver::MaxFlowSolver(const Topology& topo,
                              const std::vector<double>& center_demands,
                              const std::vector<double>* center_caps)
     : num_pairs_(static_cast<int>(pairs.size())),
-      num_links_(topo.num_links()) {
+      num_links_(topo.num_links()),
+      // Built with EVERY pair's columns: a skipped pair is expressed per
+      // solve by dropping its demand row's rhs to 0 (forcing its flows to
+      // 0) instead of by omitting columns, so the structure — and with it
+      // the warm-start basis — survives any (d, caps, skip) combination.
+      // Row k is pair k's demand row; row num_pairs_ + l is link l's
+      // capacity row.
+      session_(reference_session(
+          build_path_flow_lp(topo, pairs, center_demands, center_caps,
+                             /*skip=*/nullptr, first_flow_var_))),
+      rhs_(num_pairs_ + num_links_) {
   assert(static_cast<int>(center_demands.size()) == num_pairs_);
   base_caps_.resize(num_links_);
   for (int l = 0; l < num_links_; ++l)
@@ -115,27 +139,6 @@ MaxFlowSolver::MaxFlowSolver(const Topology& topo,
   num_paths_.resize(num_pairs_);
   for (int k = 0; k < num_pairs_; ++k)
     num_paths_[k] = static_cast<int>(pairs[k].paths.size());
-
-  // Built with EVERY pair's columns: a skipped pair is expressed per solve
-  // by dropping its demand row's rhs to 0 (forcing its flows to 0) instead
-  // of by omitting columns, so the structure — and with it the warm-start
-  // basis — survives any (d, caps, skip) combination.  Row k is pair k's
-  // demand row; row num_pairs_ + l is link l's capacity row.
-  lp_ = build_path_flow_lp(topo, pairs, center_demands, center_caps,
-                           /*skip=*/nullptr, first_flow_var_);
-
-  // Reference basis: one cold solve at the center of the input box (the
-  // expected sampling point — uniform sampling concentrates there, so the
-  // repair distance from the reference to a typical sample is small).  All
-  // later solves warm-start from here, fixed so results never depend on
-  // which samples this thread solved before.
-  solver::SimplexOptions sopts;
-  sopts.want_duals = false;
-  auto ref = solver::solve_lp(lp_, sopts);
-  if (ref.status == solver::Status::kOptimal && !ref.basis.empty()) {
-    reference_basis_ = std::move(ref.basis);
-    has_reference_ = true;
-  }
 }
 
 MaxFlowSolver::MaxFlowSolver(const TeInstance& inst)
@@ -146,16 +149,11 @@ solver::LpSolution MaxFlowSolver::run(const std::vector<double>& d,
                                       const std::vector<double>* caps,
                                       const std::vector<bool>* skip) {
   assert(static_cast<int>(d.size()) == num_pairs_);
-  for (int k = 0; k < num_pairs_; ++k) {
-    const double rhs = skip && (*skip)[k] ? 0.0 : std::max(0.0, d[k]);
-    lp_.set_row_rhs(k, rhs);
-  }
-  for (int l = 0; l < num_links_; ++l) {
-    const double cap = std::max(0.0, caps ? (*caps)[l] : base_caps_[l]);
-    lp_.set_row_rhs(num_pairs_ + l, cap);
-  }
-  return solver::solve_lp(lp_, sample_solve_options(),
-                          has_reference_ ? &reference_basis_ : nullptr);
+  for (int k = 0; k < num_pairs_; ++k)
+    rhs_[k] = skip && (*skip)[k] ? 0.0 : std::max(0.0, d[k]);
+  for (int l = 0; l < num_links_; ++l)
+    rhs_[num_pairs_ + l] = std::max(0.0, caps ? (*caps)[l] : base_caps_[l]);
+  return session_.solve(rhs_);
 }
 
 FlowResult MaxFlowSolver::solve(const std::vector<double>& d,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "solver/lp.h"
+#include "solver/simplex.h"
 #include "te/demand.h"
 
 namespace xplain::te {
@@ -41,7 +42,12 @@ FlowResult solve_max_flow(const TeInstance& inst, const std::vector<double>& d,
 /// from the previous sample's basis: a solve stays a pure function of its
 /// arguments, which is what keeps the parallel sampling loops bitwise
 /// deterministic for any worker count even though each worker thread owns
-/// its own solver (see cases/thread_solver.h).
+/// its own solver (see cases/thread_solver.h).  The solves run through a
+/// solver::RhsSession bound to the LP right after the reference solve, so
+/// the LP's standardized form is built and the reference basis factorized
+/// once per instance, not once per solve; the answers and LP counters
+/// (factorizations and CSC builds aside) are those of solve_lp warm-started
+/// from the same basis.
 ///
 /// Owns everything it reads after construction.  Not thread-safe: use one
 /// instance per thread.
@@ -70,8 +76,8 @@ class MaxFlowSolver {
                                     const std::vector<double>* caps = nullptr,
                                     const std::vector<bool>* skip = nullptr);
 
-  /// The prebuilt LP (its rhs are those of the last solve).
-  const solver::LpProblem& problem() const { return lp_; }
+  /// The prebuilt LP (its rhs are those of the reference solve).
+  const solver::LpProblem& problem() const { return session_.problem(); }
 
  private:
   solver::LpSolution run(const std::vector<double>& d,
@@ -83,9 +89,8 @@ class MaxFlowSolver {
   std::vector<double> base_caps_;
   std::vector<int> first_flow_var_;  // first f[k][p] column per pair
   std::vector<int> num_paths_;       // candidate paths per pair
-  solver::LpProblem lp_;
-  solver::Basis reference_basis_;
-  bool has_reference_ = false;
+  solver::RhsSession session_;       // the LP + its reference basis
+  std::vector<double> rhs_;          // per row, reused across solves
 };
 
 }  // namespace xplain::te

@@ -43,15 +43,12 @@ LbInstance contended_instance() {
   LbInstance inst;
   inst.topo = std::move(t);
   inst.t_max = 100.0;
-  te::TePair a;
-  a.src = 1;
-  a.dst = 2;
-  a.paths = {te::Path{{1, 2}}, te::Path{{1, 3, 2}}};
-  te::TePair b;
-  b.src = 0;
-  b.dst = 2;
-  b.paths = {te::Path{{0, 1, 2}}};  // no alternative
-  inst.commodities = {a, b};
+  inst.commodities = {
+      te::TePair::make(inst.topo, 1, 2,
+                       {te::Path{{1, 2}}, te::Path{{1, 3, 2}}}),
+      te::TePair::make(inst.topo, 0, 2,
+                       {te::Path{{0, 1, 2}}}),  // no alternative
+  };
   return inst;
 }
 

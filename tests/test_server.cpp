@@ -936,6 +936,34 @@ TEST(Service, ProtocolAcceptsAGridOfExactlyTheLimit) {
   EXPECT_EQ(stats.find("cache_entries")->as_str(), "0");
 }
 
+TEST(Service, ProtocolRejectsSubmitAfterDrainWithoutAccepting) {
+  // A submit after drain was once answered with `accepted` and then an
+  // `error` for the same id.  The service now decides acceptance before
+  // the event is written, so the client sees only the error.
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  const auto events = serve_lines(
+      svc, R"({"op":"drain"})" "\n"
+           R"({"op":"submit","id":7,"spec":{"cases":["first_fit"],)"
+           R"("scenarios":[{"kind":"line","size":3}]}})" "\n"
+           R"({"op":"stats"})" "\n");
+  int errors = 0;
+  for (const util::Json& e : events) {
+    EXPECT_NE(event_kind(e), "accepted");
+    EXPECT_NE(event_kind(e), "job");
+    if (event_kind(e) == "error") {
+      ++errors;
+      EXPECT_EQ(e.find("id")->as_num(), 7.0);
+    }
+  }
+  EXPECT_EQ(errors, 1);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(event_kind(events.back()), "stats");
+  EXPECT_EQ(events.back().find("jobs_submitted")->as_str(), "0");
+  EXPECT_EQ(events.back().find("submissions")->as_str(), "0");
+}
+
 TEST(Service, ProtocolDiscardsOverlongLineThenServesStats) {
   // A 2 MiB line is dropped as it streams in and answered with one error
   // event; the next request is served normally.

@@ -66,6 +66,26 @@ TEST(Paths, BottleneckCapacity) {
   EXPECT_DOUBLE_EQ(bottleneck_capacity(t, ps[1]), 50);
 }
 
+TEST(Paths, PairsCarryTheirResolvedLinks) {
+  // The heuristics read TePair::path_links instead of resolving hops per
+  // sample; they must stay the links of `paths`, also after fig1a_example
+  // trims its cross demands to one path.
+  const auto check = [](const TeInstance& inst) {
+    for (const TePair& pair : inst.pairs) {
+      ASSERT_EQ(pair.path_links.size(), pair.paths.size()) << pair.name();
+      for (std::size_t p = 0; p < pair.paths.size(); ++p) {
+        const auto want = pair.paths[p].links(inst.topo);
+        ASSERT_EQ(pair.path_links[p].size(), want.size()) << pair.name();
+        for (std::size_t h = 0; h < want.size(); ++h)
+          EXPECT_EQ(pair.path_links[p][h].v, want[h].v) << pair.name();
+      }
+    }
+  };
+  check(TeInstance::fig1a_example());
+  EXPECT_EQ(TeInstance::fig1a_example().pairs[1].path_links.size(), 1u);
+  check(TeInstance::all_pairs(Topology::ring(6, 10.0), 3, 50.0));
+}
+
 TEST(Paths, KShortestAreSimpleAndDistinct) {
   xplain::util::Rng rng(7);
   auto t = Topology::random_connected(9, 0.3, 1, 10, rng);

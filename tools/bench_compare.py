@@ -14,7 +14,11 @@ Two gates, both exiting non-zero on failure:
 * lp_iterations may not regress by more than --max-counter-regression
   (default 25%).  The LP work counters are bitwise deterministic for a
   given code version, so any drift is a real behavior change, not noise;
-  this is the machine-independent regression signal.
+  this is the machine-independent regression signal.  At
+  --max-counter-regression 0.0 the gate is exact and covers every lp_*
+  counter both files carry, not only lp_iterations: a pivot-path drift
+  that happens to keep the iteration count still moves columns_priced or
+  warm_solves.
 
 Additionally, any embedded experiment document (a JSON object member with a
 "jobs" array — what xplain::ExperimentResult::to_json emits through
@@ -111,7 +115,8 @@ def main():
         "--max-counter-regression",
         type=float,
         default=0.25,
-        help="allowed relative lp_iterations increase (default 0.25)",
+        help="allowed relative lp_iterations increase (default 0.25); "
+        "0.0 holds every lp_* counter exactly",
     )
     args = parser.parse_args()
 
@@ -156,20 +161,22 @@ def main():
                 f"service counter: any drift is a behavior change)"
             )
 
-    fi, bi = fresh.get("lp_iterations"), base.get("lp_iterations")
-    if fi is not None and bi:
-        if args.max_counter_regression == 0.0:
-            # Exact gate: the bench is advertised as a bit-exact
-            # reproduction target, so an *improvement* is also drift — it
-            # means the committed baseline no longer describes the code
-            # and must be regenerated.
-            if fi != bi:
+    if args.max_counter_regression == 0.0:
+        # Exact gate: the bench is advertised as a bit-exact reproduction
+        # target, so an *improvement* is also drift — it means the
+        # committed baseline no longer describes the code and must be
+        # regenerated.  Every LP counter on both sides is held to it.
+        for key in [k for k in fresh if k.startswith("lp_") and k in base]:
+            if fresh[key] != base[key]:
                 failed.append(
-                    f"lp_iterations {fi} != baseline {bi} (exact gate: any "
-                    f"drift is a behavior change; regenerate the baseline "
-                    f"if intentional)"
+                    f"{key} {fresh[key]} != baseline {base[key]} (exact "
+                    f"gate: any drift is a behavior change; regenerate the "
+                    f"baseline if intentional)"
                 )
-        elif fi / bi > 1.0 + args.max_counter_regression:
+
+    fi, bi = fresh.get("lp_iterations"), base.get("lp_iterations")
+    if fi is not None and bi and args.max_counter_regression != 0.0:
+        if fi / bi > 1.0 + args.max_counter_regression:
             failed.append(
                 f"lp_iterations {fi} is {100.0 * (fi / bi - 1.0):.1f}% above "
                 f"baseline {bi} (allowed "
